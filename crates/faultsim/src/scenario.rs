@@ -202,6 +202,9 @@ pub struct TrialResult {
     pub recovery: RecoveryReport,
     /// RapiLog's own invariant verdict (None for non-RapiLog setups).
     pub rapilog_guarantee: Option<bool>,
+    /// Every RapiLog audit report of the trial, instances retired by a
+    /// power episode first (empty for non-RapiLog setups).
+    pub rapilog_audits: Vec<rapilog::AuditReport>,
     /// Fault-handling counters (retries, remaps, degraded transitions,
     /// offline rejections) summed over the trial.
     pub fault_stats: FaultStats,
@@ -507,6 +510,7 @@ pub fn run_trial_traced(
             total_acked,
             recovery,
             rapilog_guarantee,
+            rapilog_audits: machine.rapilog_audit_reports(),
             fault_stats,
             attribution,
             commit_latency: commit_latency.borrow().clone(),

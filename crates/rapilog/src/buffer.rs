@@ -174,6 +174,16 @@ impl DependableBuffer {
         self.st.borrow().queued_bytes
     }
 
+    /// `(first sector, sector count)` of the oldest queued extent — the
+    /// write the drain's next batch will open with.
+    pub(crate) fn head_range(&self) -> Option<(u64, u64)> {
+        self.st
+            .borrow()
+            .queue
+            .front()
+            .map(|e| (e.sector, (e.data.len() / SECTOR_SIZE) as u64))
+    }
+
     /// Attaches the sim clock so admissions are stamped with `admit_ns`.
     /// Without a clock (unit tests building the buffer directly) extents
     /// carry `admit_ns == 0` and commit latency simply isn't measured.

@@ -14,21 +14,26 @@
 //!   hit the disk before the residual window expired. With correct sizing
 //!   this is guaranteed; the audit exists to prove it run after run.
 //!
+//! Every drain loop forms its batches the same way, through
+//! `BatchFormer`: pop, consolidate, and defer the last run's tail when
+//! the next queued write rewrites it, so back-to-back batches stream to an
+//! HDD as one sequential continuation instead of paying a rotation each.
+//!
 //! The drain loop comes in two disciplines (see
 //! [`OrderingMode`](crate::OrderingMode)):
 //!
 //! * **Strict** — one run on media at a time, in exact sequence order: the
 //!   paper's original serial drain, byte- and trace-identical to previous
-//!   releases.
-//! * **PartiallyConstrained** — a **drain window**: up to
+//!   releases wherever no tail is deferred.
+//! * **PartiallyConstrained** — a **drain window** (`RunWindow`): up to
 //!   [`window_depth`](crate::DrainConfig::window_depth) runs in flight at
 //!   once across the device's channels. A run must wait for every earlier
 //!   in-flight run whose sector range overlaps its own (media order is the
 //!   newest-wins tiebreak, so overlapping rewrites must land in order);
-//!   disjoint runs carry no edge and retire out of order. Batches retire
-//!   whole — space is released the moment a batch's last run lands — but
-//!   the audit ledger only advances with the contiguous durable prefix, so
-//!   invariant I3 is untouched.
+//!   disjoint runs carry no edge and retire out of order. A batch releases
+//!   its retire range the moment its last run lands, but the audit ledger
+//!   only advances with the contiguous durable prefix, so invariant I3 is
+//!   untouched.
 
 use std::cell::{Cell as StdCell, RefCell};
 use std::collections::VecDeque;
@@ -115,6 +120,139 @@ pub(crate) fn consolidate(batch: &[Extent]) -> Vec<IoRun> {
         });
     }
     runs
+}
+
+/// One batch as the drain writes it, formed by [`BatchFormer::form`].
+struct FormedBatch {
+    /// The popped extents, whole: replication ships them as admitted.
+    extents: Vec<Extent>,
+    /// The consolidated runs; the last one may have lost its tail to the
+    /// next batch.
+    runs: Vec<IoRun>,
+    /// Sequence range `[lo, hi]` that is durable once every run has
+    /// landed; `None` when a deferral holds back everything it would
+    /// retire.
+    retire: Option<(u64, u64)>,
+    /// Admission stamps of the retired extents, oldest first.
+    admits: Vec<u64>,
+    /// True when the tail went to the next batch, whose runs must then
+    /// land after this batch's.
+    deferred: bool,
+}
+
+impl FormedBatch {
+    /// Bytes the runs write.
+    fn bytes(&self) -> u64 {
+        self.runs.iter().map(|r| r.bytes() as u64).sum()
+    }
+
+    /// The `drain_batch` span payload: extents popped, runs and bytes
+    /// written.
+    fn payload(&self) -> Payload {
+        Payload::Batch {
+            extents: self.extents.len() as u64,
+            runs: self.runs.len() as u64,
+            bytes: self.bytes(),
+        }
+    }
+}
+
+/// Batch formation for one buffer, shared by every drain loop: pop,
+/// consolidate, and **defer the tail** the queue's head is about to
+/// rewrite.
+///
+/// A log's next flush re-forces the sector its previous flush ended in.
+/// Writing that sector at the end of batch N and again at the start of
+/// batch N+1 costs an HDD a near-full rotation per batch. So when the
+/// oldest still-queued extent covers the trailing sectors of the batch's
+/// last run, and starts after the run's first sector (a run is never
+/// trimmed to nothing), those sectors are cut from the run. The newer
+/// bytes go out at the start of the next batch, which then begins exactly
+/// where this one ended: a sequential continuation.
+///
+/// Durability: let `k` be the oldest sequence with bytes in a trimmed
+/// sector, counting the extents an earlier deferral carried when the trim
+/// reaches back into the sectors it deferred. Every extent before `k` has
+/// each of its sectors on media with its own or newer bytes once this
+/// batch lands, so the batch retires only through `k − 1`. Extents `k..`
+/// stay charged in the buffer's in-flight ledger and join the next batch's
+/// retire range. That batch opens with the head extent, whose bytes cover
+/// every deferred sector, so when it has landed (after this batch — the
+/// windowed drains add that edge) every carried sector holds newer bytes.
+/// Retire ranges still tile the sequence space in order.
+///
+/// With nothing queued nothing is deferred: the drain pays a rotation only
+/// once it has caught up, and the emergency drain still empties the
+/// buffer.
+#[derive(Default)]
+struct BatchFormer {
+    /// `(seq, admit_ns)` of extents popped by earlier batches and not yet
+    /// retired, oldest first.
+    carried: Vec<(u64, u64)>,
+    /// Sectors `[start, end)` the previous batch deferred.
+    deferred: Option<(u64, u64)>,
+    /// Negative control for the accounting property test: retire through
+    /// `k` instead of `k − 1`.
+    #[cfg(test)]
+    retire_early: bool,
+}
+
+impl BatchFormer {
+    /// Pops up to `max_bytes` from `buffer` (at least one extent) and forms
+    /// the batch; `None` when nothing is queued.
+    fn form(&mut self, buffer: &DependableBuffer, max_bytes: usize) -> Option<FormedBatch> {
+        let extents = buffer.pop_batch(max_bytes);
+        if extents.is_empty() {
+            return None;
+        }
+        let mut runs = consolidate(&extents);
+        let hold_from = self.defer_tail(buffer.head_range(), &extents, &mut runs);
+        #[cfg(test)]
+        let hold_from = hold_from.map(|k| k + u64::from(self.retire_early));
+        self.carried
+            .extend(extents.iter().map(|e| (e.seq, e.admit_ns)));
+        let keep = hold_from.map_or(self.carried.len(), |k| {
+            self.carried.partition_point(|&(seq, _)| seq < k)
+        });
+        let retire = (keep > 0).then(|| (self.carried[0].0, self.carried[keep - 1].0));
+        let admits = self.carried.drain(..keep).map(|(_, admit)| admit).collect();
+        Some(FormedBatch {
+            extents,
+            runs,
+            retire,
+            admits,
+            deferred: hold_from.is_some(),
+        })
+    }
+
+    /// Trims the last run's tail when `head` (the oldest queued extent)
+    /// covers it, and returns `k`, the oldest sequence the trim holds
+    /// back.
+    fn defer_tail(
+        &mut self,
+        head: Option<(u64, u64)>,
+        extents: &[Extent],
+        runs: &mut [IoRun],
+    ) -> Option<u64> {
+        let previous = self.deferred.take();
+        let (head_start, head_sectors) = head?;
+        let last = runs.last_mut().expect("a non-empty batch has a run");
+        let (start, end) = (last.sector, last.sector + last.sectors());
+        if head_start <= start || head_start >= end || head_start + head_sectors < end {
+            return None;
+        }
+        truncate_run(last, head_start - start);
+        self.deferred = Some((head_start, end));
+        let trimmed = |lo: u64, hi: u64| lo < end && head_start < hi;
+        let carried = previous
+            .filter(|&(lo, hi)| trimmed(lo, hi))
+            .and_then(|_| self.carried.first().map(|&(seq, _)| seq));
+        let in_batch = extents
+            .iter()
+            .find(|e| trimmed(e.sector, e.sector + (e.data.len() / SECTOR_SIZE) as u64))
+            .map(|e| e.seq);
+        carried.or(in_batch)
+    }
 }
 
 /// The ordering edges over one consolidated batch: run `j` must wait for
@@ -292,9 +430,13 @@ struct InflightRun {
 /// One popped batch awaiting retirement under the windowed drain.
 struct BatchEntry {
     id: u64,
-    /// Sequence range `[lo, hi]` the batch covers.
+    /// Sequence range `[lo, hi]` the batch popped, as shipped to the
+    /// standby.
     lo: u64,
     hi: u64,
+    /// Sequence range released and recorded durable when the batch
+    /// retires (see [`FormedBatch::retire`]).
+    retire: Option<(u64, u64)>,
     /// Runs still in flight; the batch retires when this reaches zero.
     remaining: u64,
     retired: bool,
@@ -303,12 +445,37 @@ struct BatchEntry {
     bytes: u64,
     /// When the batch was popped, for the service-time EWMA.
     dispatched_ns: u64,
-    /// Per-extent admission stamps, consumed for commit-latency samples
-    /// when the batch reaches the contiguous durable prefix.
+    /// Admission stamps of the extents in `retire`, consumed for
+    /// commit-latency samples when the batch reaches the contiguous
+    /// durable prefix.
     admits: Vec<u64>,
     /// The batch's extents, kept for the replication tee. Empty (and
     /// allocation-free) when log shipping is off.
     extents: Vec<Extent>,
+}
+
+impl BatchEntry {
+    /// Registers a formed batch popped at `dispatched_ns` whose runs are
+    /// about to be dispatched.
+    fn new(id: u64, formed: &mut FormedBatch, dispatched_ns: u64, ship: bool) -> BatchEntry {
+        BatchEntry {
+            id,
+            lo: formed.extents.first().expect("non-empty batch").seq,
+            hi: formed.extents.last().expect("non-empty batch").seq,
+            retire: formed.retire,
+            remaining: formed.runs.len() as u64,
+            retired: false,
+            payload: formed.payload(),
+            bytes: formed.bytes(),
+            dispatched_ns,
+            admits: std::mem::take(&mut formed.admits),
+            extents: if ship {
+                std::mem::take(&mut formed.extents)
+            } else {
+                Vec::new()
+            },
+        }
+    }
 }
 
 /// Retirement accounting: batches are registered in sequence order and may
@@ -362,7 +529,9 @@ impl BatchLedger {
         );
         // Space (and the read overlay) release immediately: the bytes are
         // on media whether or not older batches still fly.
-        buffer.complete_seqs(entry.lo, entry.hi);
+        if let Some((lo, hi)) = entry.retire {
+            buffer.complete_seqs(lo, hi);
+        }
         let jumped = idx != 0;
         if jumped {
             audit.record_ooo_retirement();
@@ -372,14 +541,11 @@ impl BatchLedger {
         // durable prefix, in order, never an out-of-order island.
         while self.batches.front().is_some_and(|b| b.retired) {
             let front = self.batches.pop_front().expect("checked non-empty");
-            for &admit_ns in &front.admits {
-                if admit_ns > 0 {
-                    ctrl.record_commit_latency(now_ns.saturating_sub(admit_ns));
-                }
-            }
-            match self.tenant {
-                Some(t) => audit.record_tenant_commit(t.0, front.hi),
-                None => audit.record_commit(front.hi),
+            ctrl.record_commit_latencies(&front.admits, now_ns);
+            match (front.retire, self.tenant) {
+                (Some((_, hi)), Some(t)) => audit.record_tenant_commit(t.0, hi),
+                (Some((_, hi)), None) => audit.record_commit(hi),
+                (None, _) => {}
             }
             if let Some(r) = repl {
                 let tenant = self.tenant.unwrap_or(TenantId::DEFAULT);
@@ -633,9 +799,14 @@ impl DrainController {
         );
     }
 
-    /// Records one extent's admission → durable-prefix-commit latency.
-    pub(crate) fn record_commit_latency(&self, ns: u64) {
-        self.latency.borrow_mut().record(ns);
+    /// Records each retired extent's admission → durable-prefix-commit
+    /// latency at `now_ns`. A zero stamp (a buffer without a clock) is not
+    /// a measurement and is skipped.
+    pub(crate) fn record_commit_latencies(&self, admits: &[u64], now_ns: u64) {
+        let mut latency = self.latency.borrow_mut();
+        for &admit_ns in admits.iter().filter(|&&a| a > 0) {
+            latency.record(now_ns.saturating_sub(admit_ns));
+        }
     }
 
     /// Point-in-time view for [`RapiLogSnapshot::drain`](crate::RapiLogSnapshot).
@@ -676,9 +847,9 @@ pub(crate) fn start(
     ctrl: Rc<DrainController>,
 ) {
     match cfg.drain.ordering {
-        OrderingMode::Strict => {
-            start_strict(ctx, cell, &buffer, disk, cfg, &audit, mode, tenant, repl)
-        }
+        OrderingMode::Strict => start_strict(
+            ctx, cell, &buffer, disk, cfg, &audit, mode, tenant, repl, ctrl,
+        ),
         OrderingMode::PartiallyConstrained => start_windowed(
             ctx, cell, &buffer, disk, cfg, &audit, mode, tenant, repl, ctrl,
         ),
@@ -689,9 +860,11 @@ pub(crate) fn start(
 }
 
 /// The paper's original serial drain: one run on media at a time, in exact
-/// sequence order. Kept verbatim — [`OrderingMode::Strict`] must stay
-/// trace-identical release over release (with shipping off, the replication
-/// tee is a dead branch and emits no events).
+/// sequence order. [`OrderingMode::Strict`] stays trace-identical release
+/// over release wherever no tail is deferred (with shipping off, the
+/// replication tee is a dead branch and emits no events). Each retirement
+/// feeds the [`DrainController`]'s sensors — EWMAs and commit latency —
+/// but never its control law, which Strict pins.
 #[allow(clippy::too_many_arguments)]
 fn start_strict(
     ctx: &SimCtx,
@@ -703,8 +876,10 @@ fn start_strict(
     mode: Rc<ModeState>,
     tenant: TenantId,
     repl: Option<Replicator>,
+    ctrl: Rc<DrainController>,
 ) {
     let drain_buffer = buffer.clone();
+    let drained = Drained::One(buffer.clone());
     let drain_audit = audit.clone();
     let drain_ctx = ctx.clone();
     let tracer = ctx.tracer();
@@ -712,31 +887,20 @@ fn start_strict(
     cell.spawn(async move {
         let policy = cfg.drain.retry;
         let consecutive_ok = StdCell::new(0u32);
+        let mut former = BatchFormer::default();
         loop {
             drain_buffer.wait_avail().await;
-            loop {
-                // Extents move out of the queue; the buffer's in-flight
-                // ledger keeps occupancy and read-your-writes alive until
-                // complete().
-                let batch = drain_buffer.pop_batch(cfg.drain.max_batch);
-                if batch.is_empty() {
-                    break;
-                }
-                let first_seq = batch.first().expect("non-empty batch").seq;
-                let last_seq = batch.last().expect("non-empty batch").seq;
-                let runs = consolidate(&batch);
-                let batch_payload = Payload::Batch {
-                    extents: batch.len() as u64,
-                    runs: runs.len() as u64,
-                    bytes: runs.iter().map(|r| r.bytes() as u64).sum(),
-                };
+            // Extents move out of the queue; the buffer's in-flight ledger
+            // keeps occupancy and read-your-writes alive until complete().
+            while let Some(formed) = former.form(&drain_buffer, cfg.drain.max_batch) {
+                let dispatched_ns = drain_ctx.now().as_nanos();
+                let batch_payload = formed.payload();
                 tracer.begin(drain_ctx.now(), Layer::Drain, "drain_batch", batch_payload);
-                let mut failed = false;
-                for run in runs {
+                for run in &formed.runs {
                     if write_run_resilient(
                         &drain_ctx,
                         &disk,
-                        &run,
+                        run,
                         &policy,
                         &mut rng,
                         &drain_audit,
@@ -747,60 +911,296 @@ fn start_strict(
                     .await
                     .is_err()
                     {
-                        failed = true;
-                        break;
+                        drained.lose_device(&drain_ctx, &drain_audit);
+                        return;
                     }
                 }
-                if failed {
-                    // The disk is gone for good (power collapse, or the
-                    // resilience policy is switched off). Whatever remains
-                    // buffered is lost with the machine; the audit decides
-                    // whether that violated the guarantee (it must not,
-                    // if sizing was honest and the warning fired).
-                    tracer.end(
-                        drain_ctx.now(),
-                        Layer::Drain,
-                        "drain_batch",
-                        Payload::Text {
-                            text: "drain_failure",
-                        },
-                    );
-                    tracer.instant(
-                        drain_ctx.now(),
-                        Layer::Drain,
-                        "freeze",
-                        Payload::Bytes {
-                            bytes: drain_buffer.occupancy(),
-                        },
-                    );
-                    drain_audit.record_drain_failure(drain_buffer.occupancy());
-                    drain_buffer.freeze();
-                    return;
-                }
                 tracer.end(drain_ctx.now(), Layer::Drain, "drain_batch", batch_payload);
-                if tenant == TenantId::DEFAULT {
-                    drain_audit.record_commit(last_seq);
-                } else {
-                    drain_audit.record_tenant_commit(tenant.0, last_seq);
+                let now_ns = drain_ctx.now().as_nanos();
+                ctrl.observe_batch(
+                    formed.bytes(),
+                    now_ns.saturating_sub(dispatched_ns),
+                    drain_buffer.queued_bytes(),
+                );
+                ctrl.record_commit_latencies(&formed.admits, now_ns);
+                if let Some((_, hi)) = formed.retire {
+                    if tenant == TenantId::DEFAULT {
+                        drain_audit.record_commit(hi);
+                    } else {
+                        drain_audit.record_tenant_commit(tenant.0, hi);
+                    }
                 }
                 if let Some(r) = &repl {
-                    r.offer(tenant.0, first_seq, last_seq, &batch);
+                    let lo = formed.extents.first().expect("non-empty batch").seq;
+                    let hi = formed.extents.last().expect("non-empty batch").seq;
+                    r.offer(tenant.0, lo, hi, &formed.extents);
                 }
-                drain_buffer.complete(last_seq);
+                if let Some((_, hi)) = formed.retire {
+                    drain_buffer.complete(hi);
+                }
             }
         }
     });
 }
 
-/// The windowed drain: pops batches continuously and keeps up to
-/// `window_depth` consolidated runs in flight at once. Each run waits for
+/// The buffer(s) a drain empties: what a lost device costs, and the
+/// backlog the controller sees.
+#[derive(Clone)]
+enum Drained {
+    /// One buffer (the serial and windowed drains).
+    One(DependableBuffer),
+    /// Every tenant shard (the fair-share drain).
+    Shards(ShardedBuffer),
+}
+
+impl Drained {
+    /// Bytes still queued behind the batches in flight.
+    fn backlog(&self) -> u64 {
+        match self {
+            Drained::One(b) => b.queued_bytes(),
+            Drained::Shards(s) => s.total_queued_bytes(),
+        }
+    }
+
+    /// The device is gone for good (power collapse, or the resilience
+    /// policy is switched off): whatever remains buffered is lost with the
+    /// machine. Records the loss, closes the open batch span and freezes
+    /// admission; the audit decides whether that violated the guarantee
+    /// (it must not, if sizing was honest and the warning fired).
+    fn lose_device(&self, ctx: &SimCtx, audit: &Audit) {
+        let occupancy = match self {
+            Drained::One(b) => b.occupancy(),
+            Drained::Shards(s) => s.total_occupancy(),
+        };
+        let tracer = ctx.tracer();
+        tracer.end(
+            ctx.now(),
+            Layer::Drain,
+            "drain_batch",
+            Payload::Text {
+                text: "drain_failure",
+            },
+        );
+        tracer.instant(
+            ctx.now(),
+            Layer::Drain,
+            "freeze",
+            Payload::Bytes { bytes: occupancy },
+        );
+        audit.record_drain_failure(occupancy);
+        match self {
+            Drained::One(b) => b.freeze(),
+            Drained::Shards(s) => {
+                // The aggregate is the global loss; the per-shard snapshots
+                // attribute it so every tenant's section can testify.
+                for shard in s.shards() {
+                    audit.record_tenant_loss(shard.id.0, shard.buf.occupancy());
+                }
+                s.freeze_all();
+            }
+        }
+    }
+}
+
+/// What every run task of a [`RunWindow`] shares.
+struct WindowShared {
+    ctx: SimCtx,
+    disk: Disk,
+    audit: Audit,
+    mode: Rc<ModeState>,
+    policy: RetryPolicy,
+    repl: Option<Replicator>,
+    ctrl: Rc<DrainController>,
+    drained: Drained,
+    /// Degraded-mode hysteresis: one disk, one health signal.
+    consecutive_ok: StdCell<u32>,
+    /// Set once a writer lost the device.
+    failed: StdCell<bool>,
+    inflight: RefCell<Vec<InflightRun>>,
+}
+
+/// The out-of-order engine under the windowed and fair-share drains: up to
+/// the controller's window of runs in flight at once, each waiting for
 /// every earlier in-flight run overlapping its sector range (see
 /// [`dep_edges`] for the declarative form of the constraint — here it is
-/// enforced online, across batch boundaries too) and then commits through
-/// [`write_run_resilient`], so the full retry/remap/degraded machinery
-/// applies per run. Disjoint runs ride separate device channels and retire
-/// out of order; [`BatchLedger`] keeps the audit ledger on the contiguous
-/// durable prefix.
+/// enforced online, across batch boundaries too) and then committing
+/// through [`write_run_resilient`], so the full retry/remap/degraded
+/// machinery applies per run. Disjoint runs ride separate device channels
+/// and retire out of order; each batch's [`BatchLedger`] keeps the audit
+/// ledger on the contiguous durable prefix.
+struct RunWindow {
+    shared: Rc<WindowShared>,
+    window: Rc<Semaphore>,
+    next_run_id: u64,
+    next_batch_id: u64,
+}
+
+impl RunWindow {
+    #[allow(clippy::too_many_arguments)]
+    fn new(
+        ctx: &SimCtx,
+        disk: Disk,
+        audit: Audit,
+        mode: Rc<ModeState>,
+        policy: RetryPolicy,
+        repl: Option<Replicator>,
+        ctrl: Rc<DrainController>,
+        drained: Drained,
+    ) -> RunWindow {
+        RunWindow {
+            window: ctrl.window(),
+            shared: Rc::new(WindowShared {
+                ctx: ctx.clone(),
+                disk,
+                audit,
+                mode,
+                policy,
+                repl,
+                ctrl,
+                drained,
+                consecutive_ok: StdCell::new(0),
+                failed: StdCell::new(false),
+                inflight: RefCell::new(Vec::new()),
+            }),
+            next_run_id: 0,
+            next_batch_id: 0,
+        }
+    }
+
+    /// True once a writer lost the device: the buffer is frozen and the
+    /// drain must stop.
+    fn failed(&self) -> bool {
+        self.shared.failed.get()
+    }
+
+    /// Registers `formed` with `ledger` and dispatches its runs, each as
+    /// soon as a window permit frees (backpressure: the window bounds runs
+    /// in flight). `after_deferral` holds the completion events of the
+    /// buffer's previous batch if it deferred its tail; this batch's first
+    /// run waits on all of them, so the extents it retires on that batch's
+    /// behalf never release before their other sectors land. Returns false
+    /// once the device is lost.
+    async fn dispatch(
+        &mut self,
+        mut formed: FormedBatch,
+        ledger: &Rc<RefCell<BatchLedger>>,
+        buffer: &DependableBuffer,
+        after_deferral: &mut Vec<Rc<Event>>,
+    ) -> bool {
+        let ctx = &self.shared.ctx;
+        ctx.tracer()
+            .begin(ctx.now(), Layer::Drain, "drain_batch", formed.payload());
+        let batch_id = self.next_batch_id;
+        self.next_batch_id += 1;
+        let entry = BatchEntry::new(
+            batch_id,
+            &mut formed,
+            ctx.now().as_nanos(),
+            self.shared.repl.is_some(),
+        );
+        ledger.borrow_mut().batches.push_back(entry);
+        let mut prev_deferral = std::mem::take(after_deferral);
+        for run in formed.runs {
+            let permit = self.window.acquire(1).await;
+            if self.failed() {
+                return false;
+            }
+            let run_id = self.next_run_id;
+            self.next_run_id += 1;
+            // Ordering edges: every in-flight run overlapping this one —
+            // including earlier runs of this very batch, and other tenants'
+            // runs (one disk, one newest-wins media order) — must land
+            // first.
+            let (run_lo, run_hi) = (run.sector, run.sector + run.sectors());
+            let mut deps: Vec<Rc<Event>> = self
+                .shared
+                .inflight
+                .borrow()
+                .iter()
+                .filter(|f| run_lo < f.sector + f.sectors && f.sector < run_hi)
+                .map(|f| Rc::clone(&f.done))
+                .collect();
+            deps.append(&mut prev_deferral);
+            let done = Rc::new(Event::new());
+            if formed.deferred {
+                after_deferral.push(Rc::clone(&done));
+            }
+            self.shared.inflight.borrow_mut().push(InflightRun {
+                id: run_id,
+                sector: run.sector,
+                sectors: run.sectors(),
+                done: Rc::clone(&done),
+            });
+            // RNG forked at dispatch, in deterministic order.
+            let mut rng = self.shared.ctx.fork_rng();
+            let shared = Rc::clone(&self.shared);
+            let ledger = Rc::clone(ledger);
+            let buffer = buffer.clone();
+            self.shared.ctx.spawn(async move {
+                let _permit = permit;
+                for dep in &deps {
+                    dep.wait().await;
+                }
+                let sh = &*shared;
+                // A sibling writer lost the device: the buffer is frozen,
+                // nothing more may touch media coherently.
+                let result = if sh.failed.get() {
+                    None
+                } else {
+                    Some(
+                        write_run_resilient(
+                            &sh.ctx,
+                            &sh.disk,
+                            &run,
+                            &sh.policy,
+                            &mut rng,
+                            &sh.audit,
+                            &sh.mode,
+                            &sh.consecutive_ok,
+                            true,
+                        )
+                        .await,
+                    )
+                };
+                // Dependents proceed (and observe `failed`) even when this
+                // run went down with the device.
+                done.set();
+                sh.inflight.borrow_mut().retain(|f| f.id != run_id);
+                match result {
+                    Some(Ok(())) if !sh.failed.get() => {
+                        let (retired, jumped) = ledger.borrow_mut().run_done(
+                            batch_id,
+                            &buffer,
+                            &sh.audit,
+                            sh.repl.as_ref(),
+                            &sh.ctrl,
+                            sh.ctx.now().as_nanos(),
+                            sh.drained.backlog(),
+                        );
+                        if let Some(payload) = retired {
+                            let tracer = sh.ctx.tracer();
+                            tracer.end(sh.ctx.now(), Layer::Drain, "drain_batch", payload);
+                            if jumped {
+                                tracer.instant(sh.ctx.now(), Layer::Drain, "ooo_retire", payload);
+                            }
+                        }
+                    }
+                    Some(Err(RunFatal::DeviceLost)) if !sh.failed.replace(true) => {
+                        sh.drained.lose_device(&sh.ctx, &sh.audit);
+                    }
+                    // Skipped (device already lost) or landed after the
+                    // failure: leave the ledger alone — the occupancy
+                    // snapshot at failure is the loss.
+                    _ => {}
+                }
+            });
+        }
+        !self.failed()
+    }
+}
+
+/// The windowed drain: pops batches continuously into a [`RunWindow`] of
+/// up to `window_depth` runs in flight.
 ///
 /// The pop target and the window both belong to the [`DrainController`]:
 /// under [`BatchPolicy::Fixed`] they are constants (`max_batch`,
@@ -825,34 +1225,39 @@ fn start_windowed(
     ctrl: Rc<DrainController>,
 ) {
     let drain_buffer = buffer.clone();
-    let drain_audit = audit.clone();
+    let drained = Drained::One(buffer.clone());
+    let mut window = RunWindow::new(
+        ctx,
+        disk,
+        audit.clone(),
+        mode,
+        cfg.drain.retry,
+        repl,
+        Rc::clone(&ctrl),
+        drained,
+    );
     let drain_ctx = ctx.clone();
-    let tracer = ctx.tracer();
     cell.spawn(async move {
-        let policy = cfg.drain.retry;
-        let window = ctrl.window();
-        let consecutive_ok = Rc::new(StdCell::new(0u32));
-        let failed = Rc::new(StdCell::new(false));
-        let inflight: Rc<RefCell<Vec<InflightRun>>> = Rc::new(RefCell::new(Vec::new()));
+        let permits = ctrl.window();
         let ledger = Rc::new(RefCell::new(BatchLedger {
             batches: VecDeque::new(),
             // A non-default tenant gets its own audit section even on the
             // single-tenant path.
             tenant: (tenant != TenantId::DEFAULT).then_some(tenant),
         }));
-        let mut next_run_id = 0u64;
-        let mut next_batch_id = 0u64;
+        let mut former = BatchFormer::default();
+        let mut after_deferral: Vec<Rc<Event>> = Vec::new();
         loop {
             drain_buffer.wait_avail().await;
             loop {
-                if failed.get() {
+                if window.failed() {
                     return;
                 }
                 // Adaptive hold: the window is saturated (the batch could
                 // not dispatch yet anyway) and the queue holds less than
                 // one target — wait briefly for the batch to fill out.
                 if let Some(a) = ctrl.adaptive_cfg() {
-                    if window.available() == 0
+                    if permits.available() == 0
                         && drain_buffer.queued_bytes() < ctrl.pop_target() as u64
                         && !drain_buffer.is_frozen()
                     {
@@ -860,160 +1265,14 @@ fn start_windowed(
                         ctrl.note_hold_fire();
                     }
                 }
-                let batch = drain_buffer.pop_batch(ctrl.pop_target());
-                if batch.is_empty() {
+                let Some(formed) = former.form(&drain_buffer, ctrl.pop_target()) else {
                     break;
-                }
-                let lo = batch.first().expect("non-empty batch").seq;
-                let hi = batch.last().expect("non-empty batch").seq;
-                let runs = consolidate(&batch);
-                let bytes: u64 = runs.iter().map(|r| r.bytes() as u64).sum();
-                let batch_payload = Payload::Batch {
-                    extents: batch.len() as u64,
-                    runs: runs.len() as u64,
-                    bytes,
                 };
-                tracer.begin(drain_ctx.now(), Layer::Drain, "drain_batch", batch_payload);
-                let batch_id = next_batch_id;
-                next_batch_id += 1;
-                ledger.borrow_mut().batches.push_back(BatchEntry {
-                    id: batch_id,
-                    lo,
-                    hi,
-                    remaining: runs.len() as u64,
-                    retired: false,
-                    payload: batch_payload,
-                    bytes,
-                    dispatched_ns: drain_ctx.now().as_nanos(),
-                    admits: batch.iter().map(|e| e.admit_ns).collect(),
-                    extents: if repl.is_some() {
-                        batch.clone()
-                    } else {
-                        Vec::new()
-                    },
-                });
-                for run in runs {
-                    // Backpressure: the window cap bounds runs in flight.
-                    let permit = window.acquire(1).await;
-                    if failed.get() {
-                        return;
-                    }
-                    let run_id = next_run_id;
-                    next_run_id += 1;
-                    // Ordering edges: every in-flight run overlapping this
-                    // one — including earlier runs of this very batch —
-                    // must land first, or newest-wins media order breaks.
-                    let (run_lo, run_hi) = (run.sector, run.sector + run.sectors());
-                    let deps: Vec<Rc<Event>> = inflight
-                        .borrow()
-                        .iter()
-                        .filter(|f| run_lo < f.sector + f.sectors && f.sector < run_hi)
-                        .map(|f| Rc::clone(&f.done))
-                        .collect();
-                    let done = Rc::new(Event::new());
-                    inflight.borrow_mut().push(InflightRun {
-                        id: run_id,
-                        sector: run.sector,
-                        sectors: run.sectors(),
-                        done: Rc::clone(&done),
-                    });
-                    // RNG forked at dispatch, in deterministic order.
-                    let mut rng = drain_ctx.fork_rng();
-                    let task_ctx = drain_ctx.clone();
-                    let task_disk = disk.clone();
-                    let task_audit = drain_audit.clone();
-                    let task_mode = Rc::clone(&mode);
-                    let task_ok = Rc::clone(&consecutive_ok);
-                    let task_failed = Rc::clone(&failed);
-                    let task_inflight = Rc::clone(&inflight);
-                    let task_ledger = Rc::clone(&ledger);
-                    let task_buffer = drain_buffer.clone();
-                    let task_tracer = Rc::clone(&tracer);
-                    let task_repl = repl.clone();
-                    let task_ctrl = Rc::clone(&ctrl);
-                    drain_ctx.spawn(async move {
-                        let _permit = permit;
-                        for dep in &deps {
-                            dep.wait().await;
-                        }
-                        // A sibling writer lost the device: the buffer is
-                        // frozen, nothing more may touch media coherently.
-                        let result = if task_failed.get() {
-                            None
-                        } else {
-                            Some(
-                                write_run_resilient(
-                                    &task_ctx,
-                                    &task_disk,
-                                    &run,
-                                    &policy,
-                                    &mut rng,
-                                    &task_audit,
-                                    &task_mode,
-                                    &task_ok,
-                                    true,
-                                )
-                                .await,
-                            )
-                        };
-                        // Dependents proceed (and observe `failed`) even
-                        // when this run went down with the device.
-                        done.set();
-                        task_inflight.borrow_mut().retain(|f| f.id != run_id);
-                        match result {
-                            Some(Ok(())) if !task_failed.get() => {
-                                let (retired, jumped) = task_ledger.borrow_mut().run_done(
-                                    batch_id,
-                                    &task_buffer,
-                                    &task_audit,
-                                    task_repl.as_ref(),
-                                    &task_ctrl,
-                                    task_ctx.now().as_nanos(),
-                                    task_buffer.queued_bytes(),
-                                );
-                                if let Some(payload) = retired {
-                                    task_tracer.end(
-                                        task_ctx.now(),
-                                        Layer::Drain,
-                                        "drain_batch",
-                                        payload,
-                                    );
-                                    if jumped {
-                                        task_tracer.instant(
-                                            task_ctx.now(),
-                                            Layer::Drain,
-                                            "ooo_retire",
-                                            payload,
-                                        );
-                                    }
-                                }
-                            }
-                            Some(Err(RunFatal::DeviceLost)) if !task_failed.replace(true) => {
-                                task_tracer.end(
-                                    task_ctx.now(),
-                                    Layer::Drain,
-                                    "drain_batch",
-                                    Payload::Text {
-                                        text: "drain_failure",
-                                    },
-                                );
-                                task_tracer.instant(
-                                    task_ctx.now(),
-                                    Layer::Drain,
-                                    "freeze",
-                                    Payload::Bytes {
-                                        bytes: task_buffer.occupancy(),
-                                    },
-                                );
-                                task_audit.record_drain_failure(task_buffer.occupancy());
-                                task_buffer.freeze();
-                            }
-                            // Skipped (device already lost) or landed after
-                            // the failure: leave the ledger alone — the
-                            // occupancy snapshot at failure is the loss.
-                            _ => {}
-                        }
-                    });
+                if !window
+                    .dispatch(formed, &ledger, &drain_buffer, &mut after_deferral)
+                    .await
+                {
+                    return;
                 }
             }
         }
@@ -1042,17 +1301,18 @@ pub(crate) fn start_sharded(
 }
 
 /// The fair-share drain: a deficit-round-robin scheduler over tenant
-/// shards feeding the windowed out-of-order engine of [`start_windowed`].
+/// shards feeding the [`RunWindow`] engine of [`start_windowed`].
 ///
 /// Each scheduling cycle visits every shard once (the start position
 /// rotates so no shard gets a standing head-of-line advantage) and grants
 /// it one batch of up to `weight × max_batch` bytes — the weighted
 /// quantum. The runs of all tenants share one in-flight window and one
 /// overlap-dependency set (one disk, one newest-wins media order), but
-/// retirement bookkeeping is **per tenant**: each shard has its own
-/// [`BatchLedger`], so space release and the audit's contiguous durable
-/// prefix advance independently per tenant, and a slow tenant never holds
-/// back another tenant's commit ledger.
+/// batch formation and retirement bookkeeping are **per tenant**: each
+/// shard has its own [`BatchFormer`] and [`BatchLedger`], so space release
+/// and the audit's contiguous durable prefix advance independently per
+/// tenant, and a slow tenant never holds back another tenant's commit
+/// ledger.
 ///
 /// [`OrderingMode::Strict`] is honoured by clamping the window to depth 1:
 /// runs then land serially in dispatch order, which — because every shard's
@@ -1080,199 +1340,54 @@ fn start_fair_share(
     ctrl: Rc<DrainController>,
 ) {
     let drain_sharded = sharded.clone();
-    let drain_audit = audit.clone();
-    let drain_ctx = ctx.clone();
-    let tracer = ctx.tracer();
+    let mut window = RunWindow::new(
+        ctx,
+        disk,
+        audit.clone(),
+        mode,
+        cfg.drain.retry,
+        repl,
+        Rc::clone(&ctrl),
+        Drained::Shards(sharded.clone()),
+    );
     cell.spawn(async move {
-        let policy = cfg.drain.retry;
-        let window = ctrl.window();
-        let consecutive_ok = Rc::new(StdCell::new(0u32));
-        let failed = Rc::new(StdCell::new(false));
-        let inflight: Rc<RefCell<Vec<InflightRun>>> = Rc::new(RefCell::new(Vec::new()));
-        let shard_info: Vec<(TenantId, u32, DependableBuffer)> = drain_sharded
+        // Per shard: weight, buffer, ledger, batch formation, and the
+        // completion events a deferral orders its next batch after.
+        let mut shards: Vec<_> = drain_sharded
             .shards()
             .iter()
-            .map(|s| (s.id, s.weight, s.buf.clone()))
-            .collect();
-        let ledgers: Vec<Rc<RefCell<BatchLedger>>> = shard_info
-            .iter()
-            .map(|(id, _, _)| {
-                Rc::new(RefCell::new(BatchLedger {
+            .map(|s| {
+                let ledger = Rc::new(RefCell::new(BatchLedger {
                     batches: VecDeque::new(),
-                    tenant: Some(*id),
-                }))
+                    tenant: Some(s.id),
+                }));
+                let after: Vec<Rc<Event>> = Vec::new();
+                (
+                    s.weight,
+                    s.buf.clone(),
+                    ledger,
+                    BatchFormer::default(),
+                    after,
+                )
             })
             .collect();
-        let n = shard_info.len();
-        let mut next_run_id = 0u64;
-        let mut next_batch_id = 0u64;
+        let n = shards.len();
         let mut cursor = 0usize;
         loop {
             drain_sharded.wait_any_avail().await;
             loop {
-                if failed.get() {
+                if window.failed() {
                     return;
                 }
                 let mut popped_any = false;
                 for off in 0..n {
-                    let idx = (cursor + off) % n;
-                    let (_, weight, ref shard_buf) = shard_info[idx];
-                    let quantum = ctrl.pop_target().saturating_mul(weight as usize);
-                    let batch = shard_buf.pop_batch(quantum);
-                    if batch.is_empty() {
+                    let (weight, buf, ledger, former, after) = &mut shards[(cursor + off) % n];
+                    let quantum = ctrl.pop_target().saturating_mul(*weight as usize);
+                    let Some(formed) = former.form(buf, quantum) else {
                         continue;
-                    }
-                    popped_any = true;
-                    let lo = batch.first().expect("non-empty batch").seq;
-                    let hi = batch.last().expect("non-empty batch").seq;
-                    let runs = consolidate(&batch);
-                    let bytes: u64 = runs.iter().map(|r| r.bytes() as u64).sum();
-                    let batch_payload = Payload::Batch {
-                        extents: batch.len() as u64,
-                        runs: runs.len() as u64,
-                        bytes,
                     };
-                    tracer.begin(drain_ctx.now(), Layer::Drain, "drain_batch", batch_payload);
-                    let batch_id = next_batch_id;
-                    next_batch_id += 1;
-                    ledgers[idx].borrow_mut().batches.push_back(BatchEntry {
-                        id: batch_id,
-                        lo,
-                        hi,
-                        remaining: runs.len() as u64,
-                        retired: false,
-                        payload: batch_payload,
-                        bytes,
-                        dispatched_ns: drain_ctx.now().as_nanos(),
-                        admits: batch.iter().map(|e| e.admit_ns).collect(),
-                        extents: if repl.is_some() {
-                            batch.clone()
-                        } else {
-                            Vec::new()
-                        },
-                    });
-                    for run in runs {
-                        let permit = window.acquire(1).await;
-                        if failed.get() {
-                            return;
-                        }
-                        let run_id = next_run_id;
-                        next_run_id += 1;
-                        // Overlap edges are computed across ALL tenants'
-                        // in-flight runs: tenants share the disk, so
-                        // newest-wins media order is a global constraint.
-                        let (run_lo, run_hi) = (run.sector, run.sector + run.sectors());
-                        let deps: Vec<Rc<Event>> = inflight
-                            .borrow()
-                            .iter()
-                            .filter(|f| run_lo < f.sector + f.sectors && f.sector < run_hi)
-                            .map(|f| Rc::clone(&f.done))
-                            .collect();
-                        let done = Rc::new(Event::new());
-                        inflight.borrow_mut().push(InflightRun {
-                            id: run_id,
-                            sector: run.sector,
-                            sectors: run.sectors(),
-                            done: Rc::clone(&done),
-                        });
-                        let mut rng = drain_ctx.fork_rng();
-                        let task_ctx = drain_ctx.clone();
-                        let task_disk = disk.clone();
-                        let task_audit = drain_audit.clone();
-                        let task_mode = Rc::clone(&mode);
-                        let task_ok = Rc::clone(&consecutive_ok);
-                        let task_failed = Rc::clone(&failed);
-                        let task_inflight = Rc::clone(&inflight);
-                        let task_ledger = Rc::clone(&ledgers[idx]);
-                        let task_buffer = shard_buf.clone();
-                        let task_sharded = drain_sharded.clone();
-                        let task_tracer = Rc::clone(&tracer);
-                        let task_repl = repl.clone();
-                        let task_ctrl = Rc::clone(&ctrl);
-                        drain_ctx.spawn(async move {
-                            let _permit = permit;
-                            for dep in &deps {
-                                dep.wait().await;
-                            }
-                            let result = if task_failed.get() {
-                                None
-                            } else {
-                                Some(
-                                    write_run_resilient(
-                                        &task_ctx,
-                                        &task_disk,
-                                        &run,
-                                        &policy,
-                                        &mut rng,
-                                        &task_audit,
-                                        &task_mode,
-                                        &task_ok,
-                                        true,
-                                    )
-                                    .await,
-                                )
-                            };
-                            done.set();
-                            task_inflight.borrow_mut().retain(|f| f.id != run_id);
-                            match result {
-                                Some(Ok(())) if !task_failed.get() => {
-                                    let (retired, jumped) = task_ledger.borrow_mut().run_done(
-                                        batch_id,
-                                        &task_buffer,
-                                        &task_audit,
-                                        task_repl.as_ref(),
-                                        &task_ctrl,
-                                        task_ctx.now().as_nanos(),
-                                        task_sharded.total_queued_bytes(),
-                                    );
-                                    if let Some(payload) = retired {
-                                        task_tracer.end(
-                                            task_ctx.now(),
-                                            Layer::Drain,
-                                            "drain_batch",
-                                            payload,
-                                        );
-                                        if jumped {
-                                            task_tracer.instant(
-                                                task_ctx.now(),
-                                                Layer::Drain,
-                                                "ooo_retire",
-                                                payload,
-                                            );
-                                        }
-                                    }
-                                }
-                                Some(Err(RunFatal::DeviceLost)) if !task_failed.replace(true) => {
-                                    task_tracer.end(
-                                        task_ctx.now(),
-                                        Layer::Drain,
-                                        "drain_batch",
-                                        Payload::Text {
-                                            text: "drain_failure",
-                                        },
-                                    );
-                                    task_tracer.instant(
-                                        task_ctx.now(),
-                                        Layer::Drain,
-                                        "freeze",
-                                        Payload::Bytes {
-                                            bytes: task_sharded.total_occupancy(),
-                                        },
-                                    );
-                                    // The aggregate is the global loss; the
-                                    // per-shard snapshots attribute it so
-                                    // every tenant's section can testify.
-                                    task_audit.record_drain_failure(task_sharded.total_occupancy());
-                                    for s in task_sharded.shards() {
-                                        task_audit.record_tenant_loss(s.id.0, s.buf.occupancy());
-                                    }
-                                    task_sharded.freeze_all();
-                                }
-                                _ => {}
-                            }
-                        });
-                    }
-                    if failed.get() {
+                    popped_any = true;
+                    if !window.dispatch(formed, ledger, buf, after).await {
                         return;
                     }
                 }
@@ -1890,7 +2005,7 @@ mod window_tests {
     use rapilog_microvisor::{Hypervisor, Trust};
     use rapilog_simcore::bytes::SectorBuf;
     use rapilog_simcore::rng::SimRng;
-    use rapilog_simcore::trace::Payload;
+    use rapilog_simcore::trace::{Payload, Phase};
     use rapilog_simcore::{Sim, SimDuration, SimTime};
     use rapilog_simdisk::{specs, BlockDevice, Disk, DiskSpec, SectorStore, SECTOR_SIZE};
     use std::cell::Cell as StdCell;
@@ -2106,6 +2221,239 @@ mod window_tests {
         assert_eq!(a, b, "Strict must stay trace-identical");
     }
 
+    #[test]
+    fn strict_fixed_drain_feeds_the_controller_sensors() {
+        let mut sim = Sim::new(38);
+        let (rl, _disk) = setup(&mut sim, specs::hdd_7200(1 << 30), DrainConfig::new());
+        let dev = rl.device();
+        let rl2 = rl.clone();
+        sim.spawn(async move {
+            for i in 0..64u64 {
+                dev.write(i * 8, &vec![i as u8; 8 * SECTOR_SIZE], true)
+                    .await
+                    .unwrap();
+            }
+            rl2.quiesce().await;
+        });
+        sim.run_until(SimTime::from_secs(10));
+        assert!(rl.audit_report().guarantee_held());
+        let drain = rl.snapshot().drain;
+        assert!(drain.commits_measured > 0, "commit latency unmeasured");
+        assert!(drain.ewma_bytes_per_sec > 0, "bandwidth EWMA unfed");
+        assert!(drain.ewma_service_ns > 0, "service-time EWMA unfed");
+        assert_eq!(
+            drain.batch_grows + drain.batch_shrinks,
+            0,
+            "Strict pins the target"
+        );
+    }
+
+    /// A WAL-style writer: issues `flushes` (first sector, sectors) in
+    /// order, tagging every sector of flush `i` with `i as u16`; `acked`
+    /// counts acknowledged flushes.
+    async fn wal_writer(
+        dev: crate::RapiLogDevice,
+        flushes: impl Iterator<Item = (u64, u64)>,
+        acked: Rc<StdCell<u64>>,
+    ) {
+        for (i, (sector, sectors)) in flushes.enumerate() {
+            let mut data = vec![0u8; sectors as usize * SECTOR_SIZE];
+            for chunk in data.chunks_mut(SECTOR_SIZE) {
+                chunk[..2].copy_from_slice(&(i as u16).to_le_bytes());
+            }
+            dev.write(sector, &data, true).await.unwrap();
+            acked.set(i as u64 + 1);
+        }
+    }
+
+    /// `n` WAL flushes from `base`, each re-forcing the last sector of the
+    /// one before and adding 1–24 new sectors, so batches and runs differ
+    /// in size.
+    fn ragged_flushes(base: u64, n: u64) -> Vec<(u64, u64)> {
+        let mut start = base;
+        (0..n)
+            .map(|i| {
+                let new = 1 + (i * 7 + i / 3) % 24;
+                let flush = (start, new + 1);
+                start += new;
+                flush
+            })
+            .collect()
+    }
+
+    fn tag(sector: &[u8]) -> u64 {
+        u16::from_le_bytes([sector[0], sector[1]]) as u64
+    }
+
+    /// Media bytes per virtual second, as a share of the sequential
+    /// bandwidth the residual-energy budget charges, that `drain` reaches
+    /// on `hdd_7200` under a WAL writer that never lets the queue empty:
+    /// measured over 2 s after 0.5 s of warm-up.
+    fn saturated_hdd_media_share(drain: DrainConfig) -> f64 {
+        let spec = specs::hdd_7200(1 << 30);
+        let sequential = spec.sequential_bandwidth();
+        let mut sim = Sim::new(39);
+        let ctx = sim.ctx();
+        let (rl, disk) = setup(&mut sim, spec, drain);
+        let flushes = (0..).map(|i| (16 * i, 17));
+        sim.spawn(wal_writer(rl.device(), flushes, Rc::default()));
+        let window = Rc::new(StdCell::new((0u64, 0u64)));
+        let w2 = Rc::clone(&window);
+        sim.spawn(async move {
+            ctx.sleep(SimDuration::from_millis(500)).await;
+            let before = disk.stats().sectors_written;
+            ctx.sleep(SimDuration::from_secs(2)).await;
+            w2.set((before, disk.stats().sectors_written));
+        });
+        sim.run_until(SimTime::from_millis(2_600));
+        assert!(
+            rl.snapshot().buffer.backpressure_events > 0,
+            "the writer must saturate the drain"
+        );
+        let (before, after) = window.get();
+        ((after - before) * SECTOR_SIZE as u64 / 2) as f64 / sequential as f64
+    }
+
+    #[test]
+    fn strict_drain_streams_a_saturated_hdd_log_at_media_bandwidth() {
+        // Track skew caps the model near 0.93; a drain that opens every
+        // batch by rewriting the previous batch's tail sector pays a
+        // rotation per batch and reaches 0.64.
+        let share = saturated_hdd_media_share(DrainConfig::new());
+        assert!(share >= 0.85, "media share {share:.3}");
+    }
+
+    #[test]
+    fn windowed_drain_streams_a_saturated_hdd_log_at_media_bandwidth() {
+        let drain = DrainConfig::new()
+            .window_depth(4)
+            .ordering(OrderingMode::PartiallyConstrained);
+        let share = saturated_hdd_media_share(drain);
+        assert!(share >= 0.85, "media share {share:.3}");
+    }
+
+    #[test]
+    fn every_drain_defers_tails_and_keeps_read_your_writes() {
+        // Serial, windowed and fair-share drains on a 4-channel SSD, with
+        // small batches so the queue stays non-empty and runs of different
+        // sizes overlap in flight. While the writers run, a reader re-reads
+        // each region's last megabyte of acknowledged flushes through the
+        // device: an extent released before all its sectors landed would
+        // read back stale media. A media write that starts exactly where
+        // an earlier one ended is a deferred tail's continuation (without
+        // deferral each batch reopens the previous batch's last sector).
+        const FLUSHES: u64 = 1_500;
+        const READ_BACK: u64 = 1 << 20;
+        let windowed = DrainConfig::new()
+            .max_batch(64 << 10)
+            .window_depth(8)
+            .ordering(OrderingMode::PartiallyConstrained);
+        for (name, drain, tenants) in [
+            ("strict", DrainConfig::new().max_batch(64 << 10), 1u64),
+            ("windowed", windowed, 1),
+            ("fair-share", windowed, 2),
+        ] {
+            let mut sim = Sim::new(40);
+            let ctx = sim.ctx();
+            ctx.tracer().set_capacity(1 << 16);
+            ctx.tracer().set_enabled(true);
+            let hv = Hypervisor::new(&ctx);
+            let cell = hv.create_cell("rapilog", Trust::Trusted);
+            let disk = Disk::new(&ctx, specs::ssd_nvme(1 << 30).with_channels(4));
+            let mut builder = RapiLog::builder(&ctx)
+                .cell(&cell)
+                .disk(disk.clone())
+                .capacity(CapacitySpec::Fixed(1 << 20))
+                .drain_config(drain);
+            if tenants > 1 {
+                builder = builder.tenants(&[TenantSpec::new(1), TenantSpec::new(2)]);
+            }
+            let rl = builder.build();
+            std::mem::forget(cell);
+            let stale = Rc::new(StdCell::new(None::<(u64, u64)>));
+            let regions: Vec<Rc<Vec<(u64, u64)>>> = (0..tenants)
+                .map(|t| Rc::new(ragged_flushes(t << 16, FLUSHES)))
+                .collect();
+            // The newest of the first `acked` flushes that wrote `sector`.
+            let newest = |flushes: &[(u64, u64)], acked: u64, sector: u64| {
+                (flushes.partition_point(|&(start, _)| start <= sector) as u64)
+                    .min(acked)
+                    .saturating_sub(1)
+            };
+            for (t, flushes) in regions.iter().enumerate() {
+                let dev = match tenants {
+                    1 => rl.device(),
+                    _ => rl.device_for(TenantId(t as u64 + 1)).unwrap(),
+                };
+                let acked = Rc::new(StdCell::new(0u64));
+                let writes = ragged_flushes(flushes[0].0, FLUSHES).into_iter();
+                sim.spawn(wal_writer(dev.clone(), writes, Rc::clone(&acked)));
+                let (ctx, stale, flushes) = (ctx.clone(), Rc::clone(&stale), Rc::clone(flushes));
+                sim.spawn(async move {
+                    let mut buf = vec![0u8; READ_BACK as usize];
+                    let sectors = READ_BACK / SECTOR_SIZE as u64;
+                    while acked.get() < FLUSHES {
+                        ctx.sleep(SimDuration::from_micros(20)).await;
+                        let n = acked.get();
+                        let Some(&(start, len)) = n.checked_sub(1).map(|i| &flushes[i as usize])
+                        else {
+                            continue;
+                        };
+                        // Half the buffer back (served from it alone), then
+                        // twice that (partly from media).
+                        for span in [sectors / 2, sectors] {
+                            let first = (start + len).saturating_sub(span).max(flushes[0].0);
+                            let read = &mut buf[..(start + len - first) as usize * SECTOR_SIZE];
+                            dev.read(first, read).await.unwrap();
+                            for (k, sector) in read.chunks(SECTOR_SIZE).enumerate() {
+                                let s = first + k as u64;
+                                if tag(sector) < newest(&flushes, n, s) && stale.get().is_none() {
+                                    stale.set(Some((s, tag(sector))));
+                                }
+                            }
+                        }
+                    }
+                });
+            }
+            sim.run_until(SimTime::from_secs(5));
+            let rl2 = rl.clone();
+            sim.spawn(async move { rl2.quiesce().await });
+            sim.run_until(SimTime::from_secs(10));
+            assert_eq!(stale.get(), None, "{name}: read back (sector, tag) stale");
+            assert_eq!(rl.occupancy(), 0, "{name}: drained");
+            let report = rl.audit_report();
+            assert!(report.guarantee_held(), "{name}: {report:?}");
+            let mut ends = std::collections::HashSet::new();
+            let mut continuations = 0;
+            for e in ctx.tracer().snapshot().events.iter() {
+                if let (
+                    Phase::Begin,
+                    Payload::Io {
+                        sector,
+                        sectors,
+                        write: true,
+                        ..
+                    },
+                ) = (e.phase, e.payload)
+                {
+                    continuations += usize::from(ends.contains(&sector));
+                    ends.insert(sector + sectors);
+                }
+            }
+            assert!(continuations > 0, "{name}: no batch deferred its tail");
+            let mut buf = vec![0u8; SECTOR_SIZE];
+            for flushes in &regions {
+                let (start, _) = flushes[0];
+                let &(last, len) = flushes.last().unwrap();
+                for s in start..last + len {
+                    disk.peek_media(s, &mut buf);
+                    let want = newest(flushes, FLUSHES, s);
+                    assert_eq!(tag(&buf), want, "{name}: sector {s}");
+                }
+            }
+        }
+    }
+
     // ---- dependency-permutation property test ----
 
     /// One random linearization of `edges` (a DAG in index order), chosen
@@ -2243,10 +2591,12 @@ mod window_tests {
                             break;
                         }
                         let runs = consolidate(&batch);
+                        let (lo, hi) = (batch.first().unwrap().seq, batch.last().unwrap().seq);
                         ledger.batches.push_back(BatchEntry {
                             id: next_batch_id,
-                            lo: batch.first().unwrap().seq,
-                            hi: batch.last().unwrap().seq,
+                            lo,
+                            hi,
+                            retire: Some((lo, hi)),
                             remaining: runs.len() as u64,
                             retired: false,
                             payload: Payload::Batch {
@@ -2337,5 +2687,269 @@ mod window_tests {
         assert!(edges[0].is_empty());
         assert_eq!(edges[1], vec![0], "the middle rewrite must order");
         assert!(edges[2].is_empty(), "the disjoint run is free to fly");
+    }
+}
+
+#[cfg(test)]
+mod deferral_tests {
+    use super::BatchFormer;
+    use crate::buffer::DependableBuffer;
+    use rapilog_simcore::bytes::SectorBuf;
+    use rapilog_simcore::rng::SimRng;
+    use rapilog_simcore::Sim;
+    use rapilog_simdisk::{IoRun, SectorStore, SECTOR_SIZE};
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    /// Sectors in the modelled log device: small, so wraps and header
+    /// rewrites collide with the tail.
+    const SPAN: u64 = 64;
+
+    /// A WAL-style stream of `(sector, sectors)` writes: most re-force the
+    /// last one to three sectors the previous flush ended in (a partly
+    /// filled log page), some start fresh after it, the log wraps back to
+    /// sector 1, and now and then sector 0 (a header) is rewritten. Lengths
+    /// reach 12 sectors, past the smallest batch sizes.
+    fn wal_stream(rng: &mut SimRng, n: usize) -> Vec<(u64, u64)> {
+        let mut end = 1u64;
+        (0..n)
+            .map(|_| match rng.next_u64() % 10 {
+                0 => (0, 1),
+                k => {
+                    let len = 1 + rng.next_u64() % 12;
+                    let mut start = if k <= 6 {
+                        end.saturating_sub(1 + rng.next_u64() % 3).max(1)
+                    } else {
+                        end
+                    };
+                    if start + len > SPAN {
+                        start = 1;
+                    }
+                    end = start + len;
+                    (start, len)
+                }
+            })
+            .collect()
+    }
+
+    /// Every sector of extent `seq` carries the tag `seq + 1`; 0 means the
+    /// sector was never written.
+    fn tagged(seq: u64, sectors: u64) -> SectorBuf {
+        let mut data = vec![0u8; sectors as usize * SECTOR_SIZE];
+        for sector in data.chunks_mut(SECTOR_SIZE) {
+            sector[..8].copy_from_slice(&(seq + 1).to_le_bytes());
+        }
+        SectorBuf::from_vec(data)
+    }
+
+    fn media_tag(media: &SectorStore, sector: u64) -> u64 {
+        let mut buf = vec![0u8; SECTOR_SIZE];
+        media.read_run(sector, &mut buf);
+        u64::from_le_bytes(buf[..8].try_into().expect("8-byte tag"))
+    }
+
+    /// One run dispatched to the model disk.
+    struct Flight {
+        batch: usize,
+        run: IoRun,
+        deps: Vec<usize>,
+        landed: bool,
+    }
+
+    fn overlaps(a: &IoRun, b: &IoRun) -> bool {
+        a.sector < b.sector + b.sectors() && b.sector < a.sector + a.sectors()
+    }
+
+    /// Drives a [`BatchFormer`] over a random WAL-style stream, with pushes
+    /// interleaved between batches, against a model disk, checking after
+    /// every batch that lands (a power cut may follow any of them):
+    ///
+    /// * every retired seq's sectors hold its own bytes or a newer seq's;
+    /// * retire ranges tile the sequence space in order, no gap or repeat;
+    /// * the buffer empties once the stream ends.
+    ///
+    /// With `window`, runs land in any order the windowed drains' edges
+    /// allow (overlap with an in-flight run, and — unless `deferral_edge`
+    /// is off — every run of a deferring batch before the next batch's
+    /// first run); without it each batch lands whole before the next forms,
+    /// as under Strict. Returns the number of deferrals, or the first
+    /// violation.
+    fn run_model(
+        seed: u64,
+        window: bool,
+        retire_early: bool,
+        deferral_edge: bool,
+    ) -> Result<u64, String> {
+        let out = Rc::new(RefCell::new(None));
+        let o2 = Rc::clone(&out);
+        let mut sim = Sim::new(seed);
+        sim.spawn(async move {
+            *o2.borrow_mut() = Some(drive(seed, window, retire_early, deferral_edge).await);
+        });
+        sim.run();
+        out.take().expect("model finished")
+    }
+
+    async fn drive(
+        seed: u64,
+        window: bool,
+        retire_early: bool,
+        deferral_edge: bool,
+    ) -> Result<u64, String> {
+        let mut rng = SimRng::seed_from_u64(0xDEF0 + seed);
+        let n = 20 + (rng.next_u64() % 100) as usize;
+        let stream = wal_stream(&mut rng, n);
+        let max_batch = SECTOR_SIZE * (1 + (rng.next_u64() % 16) as usize);
+        let buffer = DependableBuffer::new(1 << 30);
+        let mut former = BatchFormer {
+            retire_early,
+            ..BatchFormer::default()
+        };
+        let mut media = SectorStore::new();
+        let mut flights: Vec<Flight> = Vec::new();
+        // Per formed batch: runs still to land, and its retire range.
+        let mut batches: Vec<(usize, Option<(u64, u64)>)> = Vec::new();
+        let mut prev_deferral: Vec<usize> = Vec::new();
+        let (mut pushed, mut next_retire, mut deferrals) = (0usize, 0u64, 0u64);
+        loop {
+            let ready: Vec<usize> = (0..flights.len())
+                .filter(|&i| {
+                    !flights[i].landed && flights[i].deps.iter().all(|&d| flights[d].landed)
+                })
+                .collect();
+            let all_pushed = pushed == stream.len();
+            if all_pushed && !buffer.has_queued() && ready.is_empty() {
+                break;
+            }
+            match rng.next_u64() % 3 {
+                0 if !all_pushed => {
+                    let (sector, sectors) = stream[pushed];
+                    buffer
+                        .push(sector, tagged(pushed as u64, sectors))
+                        .await
+                        .unwrap();
+                    pushed += 1;
+                }
+                1 if window && !ready.is_empty() => {
+                    let id = ready[(rng.next_u64() as usize) % ready.len()];
+                    land(&mut flights, id, &mut media);
+                    let batch = &mut batches[flights[id].batch];
+                    batch.0 -= 1;
+                    if batch.0 == 0 {
+                        retire(&buffer, &media, &stream, batch.1)?;
+                    }
+                }
+                _ => {
+                    let Some(formed) = former.form(&buffer, max_batch) else {
+                        continue;
+                    };
+                    if let Some((lo, hi)) = formed.retire {
+                        if lo != next_retire || hi < lo {
+                            return Err(format!("retire range [{lo}, {hi}] after {next_retire}"));
+                        }
+                        next_retire = hi + 1;
+                    }
+                    deferrals += u64::from(formed.deferred);
+                    let batch = batches.len();
+                    batches.push((formed.runs.len(), formed.retire));
+                    let first = flights.len();
+                    let mut after = std::mem::take(&mut prev_deferral);
+                    for run in formed.runs {
+                        let mut deps: Vec<usize> = (0..flights.len())
+                            .filter(|&i| !flights[i].landed && overlaps(&flights[i].run, &run))
+                            .collect();
+                        if deferral_edge {
+                            deps.append(&mut after);
+                        }
+                        flights.push(Flight {
+                            batch,
+                            run,
+                            deps,
+                            landed: false,
+                        });
+                    }
+                    if formed.deferred {
+                        prev_deferral = (first..flights.len()).collect();
+                    }
+                    if !window {
+                        for id in first..flights.len() {
+                            land(&mut flights, id, &mut media);
+                        }
+                        retire(&buffer, &media, &stream, formed.retire)?;
+                    }
+                }
+            }
+        }
+        if next_retire != stream.len() as u64 || buffer.occupancy() != 0 || buffer.queued() != 0 {
+            return Err(format!(
+                "stream of {} ended with {next_retire} retired, occupancy {}, {} extents held",
+                stream.len(),
+                buffer.occupancy(),
+                buffer.queued()
+            ));
+        }
+        Ok(deferrals)
+    }
+
+    fn land(flights: &mut [Flight], id: usize, media: &mut SectorStore) {
+        media.write_runs(std::slice::from_ref(&flights[id].run));
+        flights[id].landed = true;
+    }
+
+    /// Checks a landed batch's retire range against media, then releases it.
+    fn retire(
+        buffer: &DependableBuffer,
+        media: &SectorStore,
+        stream: &[(u64, u64)],
+        range: Option<(u64, u64)>,
+    ) -> Result<(), String> {
+        let Some((lo, hi)) = range else {
+            return Ok(());
+        };
+        for seq in lo..=hi {
+            let (sector, sectors) = stream[seq as usize];
+            for s in sector..sector + sectors {
+                let tag = media_tag(media, s);
+                if tag < seq + 1 {
+                    return Err(format!("seq {seq} retired but sector {s} holds tag {tag}"));
+                }
+            }
+        }
+        buffer.complete_seqs(lo, hi);
+        Ok(())
+    }
+
+    #[test]
+    fn tail_deferral_keeps_every_retired_seq_on_media() {
+        for window in [false, true] {
+            let mut deferrals = 0;
+            for seed in 0..150 {
+                match run_model(seed, window, false, true) {
+                    Ok(d) => deferrals += d,
+                    Err(e) => panic!("seed {seed} (window {window}): {e}"),
+                }
+            }
+            assert!(
+                deferrals > 100,
+                "the streams must exercise deferral ({deferrals})"
+            );
+        }
+    }
+
+    #[test]
+    fn retiring_the_deferred_seq_early_is_caught() {
+        for window in [false, true] {
+            let caught = (0..150).filter(|&seed| run_model(seed, window, true, true).is_err());
+            assert!(
+                caught.count() > 0,
+                "retire-through-k control escaped (window {window})"
+            );
+        }
+    }
+
+    #[test]
+    fn dropping_the_deferral_edge_is_caught() {
+        let caught = (0..150).filter(|&seed| run_model(seed, true, false, false).is_err());
+        assert!(caught.count() > 0, "unordered deferral control escaped");
     }
 }

@@ -400,8 +400,9 @@ pub struct RapiLogSnapshot {
 
 /// The drain controller's point-in-time view: what the batching policy is
 /// currently doing and what it has observed. Populated for every instance;
-/// under [`BatchPolicy::Fixed`] the target and window never move but the
-/// EWMA and commit-latency fields still measure the drain.
+/// under [`BatchPolicy::Fixed`] or [`OrderingMode::Strict`] the target and
+/// window never move but the EWMA and commit-latency fields still measure
+/// the drain.
 #[derive(Debug, Clone, Default)]
 pub struct DrainStats {
     /// Bytes the next `pop_batch` will aim for.

@@ -313,13 +313,20 @@ impl BlockDevice for RapiLogDevice {
             let Some(buffer) = &self.buffer else {
                 return self.backing.read(sector, buf).await;
             };
-            // Fast path: everything in the overlay (tail re-reads).
-            let fully_buffered = (0..count).all(|i| buffer.read_overlay(sector + i).is_some());
-            if !fully_buffered {
-                self.backing.read(sector, buf).await?;
-            } else {
+            // Fast path: everything in the overlay (tail re-reads). The
+            // views are taken before the ack delay: the drain may land and
+            // release them meanwhile, and the media read was skipped.
+            let views: Option<Vec<SectorBuf>> = (0..count)
+                .map(|i| buffer.read_overlay(sector + i))
+                .collect();
+            if let Some(views) = views {
                 self.ctx.sleep(self.ack_cost(buf.len())).await;
+                for (chunk, view) in buf.chunks_exact_mut(SECTOR_SIZE).zip(views) {
+                    chunk.copy_from_slice(&view);
+                }
+                return Ok(());
             }
+            self.backing.read(sector, buf).await?;
             for (i, chunk) in buf.chunks_exact_mut(SECTOR_SIZE).enumerate() {
                 if let Some(newer) = buffer.read_overlay(sector + i as u64) {
                     chunk.copy_from_slice(&newer);

@@ -195,11 +195,17 @@ impl TimingModel {
                 // tail sector) is NOT a continuation and pays the full
                 // rotation, which is precisely the cost that makes
                 // synchronous commits slow on rotating disks.
+                // The buffered stream also hides the command overhead: were
+                // it charged, each absorbed command would leave the platter
+                // one overhead further past the next sector, until every
+                // third back-to-back batch missed it by a rotation.
                 let sector_period = *rotation_ns / spt;
                 let absorb_ns = 2 * overhead.as_nanos() + 4 * sector_period;
                 let continuation = *last_end_sector == Some(sector);
+                let mut positioning = seek.max(*overhead);
                 if continuation && rot_wait_ns >= rotation_ns.saturating_sub(absorb_ns) {
                     rot_wait_ns = 0;
+                    positioning = SimDuration::ZERO;
                 }
                 // A multi-track transfer pays the skew once per boundary
                 // (head switch + waiting out the skew gap).
@@ -209,7 +215,7 @@ impl TimingModel {
                 *current_cylinder = (sector + nsectors - 1) / spt;
                 *last_end_sector = Some(sector + nsectors);
                 ServiceParts {
-                    seek: seek.max(*overhead),
+                    seek: positioning,
                     rotation: SimDuration::from_nanos(rot_wait_ns),
                     transfer: SimDuration::from_nanos(transfer_ns),
                 }
@@ -306,6 +312,31 @@ mod tests {
             bw > 80e6,
             "streaming bandwidth {bw:.0} B/s is far below media rate"
         );
+    }
+
+    #[test]
+    fn back_to_back_continuations_never_drift_into_a_rotation() {
+        let spec = specs::hdd_7200(8 << 30);
+        let mut m = TimingModel::from_spec(&spec.timing, spec.sectors);
+        let mut now = SimTime::ZERO;
+        now += m.service_time(now, 0, 8, true);
+        let mut sector = 8u64;
+        let batch = 4096u64;
+        let mut total = SimDuration::ZERO;
+        for i in 0..32 {
+            let parts = m.service(now, sector, batch, true);
+            assert!(
+                parts.rotation < SimDuration::from_micros(100),
+                "batch {i} lost a rotation: {parts:?}"
+            );
+            now += parts.total();
+            total += parts.total();
+            sector += batch;
+        }
+        // Only the track skew stands between the stream and the media rate.
+        let bw = (32 * batch * SECTOR_SIZE as u64) as f64 / total.as_secs_f64();
+        let sequential = spec.sequential_bandwidth() as f64;
+        assert!(bw > 0.9 * sequential, "{bw:.0} B/s of {sequential:.0}");
     }
 
     #[test]

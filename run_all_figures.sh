@@ -19,4 +19,8 @@ $B/abl_adaptive_batching  > results/abl_adaptive_batching.txt 2>&1
 TRIALS=${TRIALS:-40} $B/table2_durability > results/table2.txt 2>&1
 $B/table4_disk_faults     > results/table4.txt 2>&1
 $B/crashpoint_sweep       > results/crashpoints.txt 2>&1
+$B/abl_recovery           > results/abl_recovery.txt 2>&1
+$B/failover_sweep         > results/failover.txt 2>&1
+$B/fig_tenant_fairness    > results/fig_tenant_fairness.txt 2>&1
+$B/fig_latency_breakdown  > results/fig_latency_breakdown.txt 2>&1
 echo ALL_FIGURES_DONE

@@ -28,6 +28,12 @@ QUICK=1 ./target/release/abl_adaptive_batching
 echo "==> parallel recovery ablation (speedup + fuzzy scan-cut gates, QUICK)"
 QUICK=1 ./target/release/abl_recovery
 
+echo "==> SSD channel-scaling ablation (windowed drain gate, QUICK)"
+QUICK=1 ./target/release/abl_ssd_channels
+
+echo "==> multi-tenant fairness (fair-share drain gate, QUICK)"
+QUICK=1 ./target/release/fig_tenant_fairness
+
 echo "==> hot-path bench + allocation budget (check mode)"
 BENCH_CHECK=1 cargo bench -q -p rapilog-bench --bench hotpaths
 

@@ -281,6 +281,50 @@ fn rapilog_durable_at_any_fault_instant() {
     }
 }
 
+/// A power cut in the middle of a commit storm: 32 clients with a 5 µs
+/// think time load the HDD log's drain, and the cut fires after a second
+/// of load — late enough that a drain paying a rotation per batch has
+/// filled the buffer to its admission cap. Every acknowledged commit must
+/// survive, and the emergency drain must beat the residual deadline.
+#[test]
+fn rapilog_durable_when_power_fails_under_a_commit_storm() {
+    let (seed, fault_ms) = (41u64, 1_000u64);
+    let mut machine = MachineConfig::new(
+        Setup::RapiLog,
+        specs::instant(128 << 20),
+        specs::hdd_7200(128 << 20),
+    );
+    machine.supply = Some(supplies::atx_psu());
+    let r = run_trial(
+        seed,
+        TrialConfig {
+            machine,
+            fault: FaultKind::PowerCut,
+            clients: 32,
+            fault_after: SimDuration::from_millis(fault_ms),
+            think_time: SimDuration::from_micros(5),
+        },
+    );
+    assert!(
+        r.ok,
+        "seed {seed}, cut at {fault_ms} ms: {:?}",
+        r.violations
+    );
+    assert_eq!(r.rapilog_guarantee, Some(true));
+    let emergencies: Vec<_> = r
+        .rapilog_audits
+        .iter()
+        .flat_map(|a| &a.emergencies)
+        .collect();
+    assert_eq!(emergencies.len(), 1, "one power episode");
+    let e = emergencies[0];
+    assert!(
+        e.met(),
+        "{} B at the warning missed the deadline: {e:?}",
+        e.occupancy_at_warning
+    );
+}
+
 /// No acknowledged commit may be lost when the log disk throws a burst of
 /// transient errors before the crash: the drain must retry/degrade through
 /// the burst, and recovery must still see every acked write. Burst length,
