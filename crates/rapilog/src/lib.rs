@@ -528,11 +528,13 @@ impl<'a> RapiLogBuilder<'a> {
         self
     }
 
-    /// The tenants sharing this instance. With two or more specs, the
-    /// capacity is split into per-tenant shards by weight and the drain
-    /// runs the weighted-round-robin fair-share scheduler; with zero or
-    /// one, the instance is single-tenant and behaves (and traces) exactly
-    /// as before sharding existed. See [`TenantSpec`].
+    /// The tenants sharing this instance (default: one shard for
+    /// [`TenantId::DEFAULT`]). The capacity is split into per-tenant shards
+    /// by weight and the drain runs the weighted-round-robin fair-share
+    /// scheduler over them; a lone shard under [`OrderingMode::Strict`]
+    /// gets the serial drain instead. Every named tenant gets its own audit
+    /// section; the default tenant alone reports through the global
+    /// ledger. See [`TenantSpec`].
     pub fn tenants(mut self, specs: &[TenantSpec]) -> Self {
         self.tenants = specs.to_vec();
         self
@@ -560,9 +562,11 @@ impl<'a> RapiLogBuilder<'a> {
         self
     }
 
-    /// Assembles the instance: sizes the buffer (falling back to
-    /// write-through if the residual window cannot cover even one sector),
-    /// builds the guest-facing device and spawns the drain tasks.
+    /// Assembles the instance: sizes the buffer, splits it into one shard
+    /// per tenant (falling back to write-through if some shard cannot
+    /// cover even one sector), builds the guest-facing devices and spawns
+    /// the drain tasks. Without [`tenants`](Self::tenants) the instance has
+    /// one shard, for [`TenantId::DEFAULT`].
     ///
     /// # Panics
     ///
@@ -575,6 +579,7 @@ impl<'a> RapiLogBuilder<'a> {
         let disk = self.disk.expect("RapiLogBuilder: disk is mandatory");
         let supply = self.supply;
         let cfg = self.cfg;
+        let repl = self.repl;
         assert!(
             cell.trust() == Trust::Trusted,
             "RapiLog must live in a trusted (verified) cell"
@@ -587,126 +592,20 @@ impl<'a> RapiLogBuilder<'a> {
             }
             (CapacitySpec::FromSupply, None) => 16 * 1024 * 1024,
         };
-        // Zero or one tenant spec is the single-tenant instance — same
-        // construction sequence as before sharding existed, so Strict
-        // traces stay bit-identical. Two or more go through the shards.
-        if self.tenants.len() >= 2 {
-            return Self::build_sharded(
-                ctx,
-                cell,
-                disk,
-                supply,
-                cfg,
-                capacity,
-                &self.tenants,
-                self.repl,
-            );
-        }
-        let tenant_id = self
-            .tenants
-            .first()
-            .map(|s| s.id)
-            .unwrap_or(TenantId::DEFAULT);
-        let drain_ctrl = drain::DrainController::new(ctx, &cfg.drain, &disk);
-        if capacity < rapilog_simdisk::SECTOR_SIZE as u64 {
-            // The residual window cannot cover even one sector's drain:
-            // fall back to write-through — the device forwards every write
-            // synchronously and RapiLog adds nothing but also risks
-            // nothing. The paper's sizing rule exists exactly so that
-            // deployments detect this case up front.
-            assert!(
-                self.repl.is_none(),
-                "log shipping requires a buffered instance; write-through has no drain to tee"
-            );
-            let audit = audit::Audit::new(ctx, supply.cloned());
-            if tenant_id != TenantId::DEFAULT {
-                audit.register_tenant(tenant_id.0);
-            }
-            let buffer = DependableBuffer::new(0);
-            let mode = ModeState::new();
-            let device =
-                RapiLogDevice::new_write_through(ctx, Rc::new(disk.clone()), cfg, audit.clone());
-            return RapiLog {
-                tenants: Rc::new(vec![TenantHandle {
-                    id: tenant_id,
-                    weight: 1,
-                    buffer,
-                    device,
-                }]),
-                audit,
-                mode,
-                disk,
-                replication: None,
-                drain_ctrl,
-            };
-        }
-        let audit = audit::Audit::new(ctx, supply.cloned());
-        // An explicitly named tenant gets its audit section up front, so
-        // the report still testifies for it even if it never writes.
-        if tenant_id != TenantId::DEFAULT {
-            audit.register_tenant(tenant_id.0);
-        }
-        if let Some(repl) = &self.repl {
-            repl.attach(cell, audit.clone());
-        }
-        let buffer = DependableBuffer::new(capacity);
-        buffer.set_clock(ctx);
-        let mode = ModeState::new();
-        let device = RapiLogDevice::new(
-            ctx,
-            buffer.clone(),
-            Rc::new(disk.clone()),
-            cfg,
-            audit.clone(),
-            Rc::clone(&mode),
-            self.repl.clone().map(|r| (tenant_id.0, r)),
-        );
-        drain::start(
-            ctx,
-            cell,
-            buffer.clone(),
-            disk.clone(),
-            cfg,
-            supply.cloned(),
-            audit.clone(),
-            Rc::clone(&mode),
-            tenant_id,
-            self.repl.clone(),
-            Rc::clone(&drain_ctrl),
-        );
-        RapiLog {
-            tenants: Rc::new(vec![TenantHandle {
-                id: tenant_id,
-                weight: 1,
-                buffer,
-                device,
-            }]),
-            audit,
-            mode,
-            disk,
-            replication: self.repl,
-            drain_ctrl,
-        }
-    }
-
-    /// The multi-tenant assembly: capacity split into weighted shards, one
-    /// guest-facing device per tenant, one fair-share drain over them all.
-    #[allow(clippy::too_many_arguments)]
-    fn build_sharded(
-        ctx: &SimCtx,
-        cell: &Cell,
-        disk: Disk,
-        supply: Option<&PowerSupply>,
-        cfg: RapiLogConfig,
-        capacity: u64,
-        specs: &[TenantSpec],
-        repl: Option<replicate::Replicator>,
-    ) -> RapiLog {
+        let specs = match self.tenants.as_slice() {
+            [] => vec![TenantSpec::new(TenantId::DEFAULT.0)],
+            named => named.to_vec(),
+        };
         let weights: Vec<u32> = specs.iter().map(|s| s.weight.max(1)).collect();
         let shard_caps = shard::split_capacity(capacity, &weights);
         let audit = audit::Audit::new(ctx, supply.cloned());
-        for spec in specs {
-            audit.register_tenant(spec.id.0);
+        // Named tenants get their audit sections up front, so the report
+        // testifies for each even if it never writes. The lone default
+        // shard reports through the global ledger.
+        if specs.len() > 1 || specs[0].id != TenantId::DEFAULT {
+            for spec in &specs {
+                audit.register_tenant(spec.id.0);
+            }
         }
         let mode = ModeState::new();
         let drain_ctrl = drain::DrainController::new(ctx, &cfg.drain, &disk);
@@ -714,9 +613,12 @@ impl<'a> RapiLogBuilder<'a> {
             .iter()
             .any(|&c| c < rapilog_simdisk::SECTOR_SIZE as u64)
         {
-            // Some tenant's share cannot cover even one sector: the whole
+            // Some shard cannot cover even one sector's drain: the whole
             // instance runs write-through (per-tenant devices, no buffers)
             // rather than buffering for some tenants and lying to others.
+            // RapiLog then adds nothing but also risks nothing; the
+            // paper's sizing rule exists so deployments detect this case
+            // up front.
             assert!(
                 repl.is_none(),
                 "log shipping requires a buffered instance; write-through has no drain to tee"
@@ -747,19 +649,17 @@ impl<'a> RapiLogBuilder<'a> {
         if let Some(r) = &repl {
             r.attach(cell, audit.clone());
         }
-        let sharded = ShardedBuffer::new(specs, capacity);
+        let sharded = ShardedBuffer::new(&specs, capacity);
         for s in sharded.shards() {
             s.buf.set_clock(ctx);
         }
-        if let Some(psu) = supply {
+        if let Some(psu) = supply.filter(|_| specs.len() > 1) {
             // The sizing rule must hold for the AGGREGATE: the emergency
-            // drain empties every shard within one residual window.
+            // drain empties every shard within one residual window. (A
+            // lone shard's capacity is the operator's: `Fixed` exists to
+            // oversize it in ablations.)
             assert!(
-                budget::aggregate_fits(
-                    psu.spec(),
-                    disk.spec().sequential_bandwidth(),
-                    &sharded.capacities(),
-                ),
+                budget::aggregate_fits(psu.spec(), bandwidth, &sharded.capacities()),
                 "aggregate shard capacity exceeds the residual-energy budget"
             );
         }
@@ -781,7 +681,7 @@ impl<'a> RapiLogBuilder<'a> {
                 ),
             })
             .collect();
-        drain::start_sharded(
+        drain::start(
             ctx,
             cell,
             &sharded,
@@ -1111,6 +1011,93 @@ mod builder_tests {
         assert_eq!(silent.commits, 0);
         assert!(report.guarantee_held());
         std::mem::forget(cell);
+    }
+
+    #[test]
+    fn a_one_spec_instance_reports_its_weight() {
+        let (_sim, ctx, hv, disk) = fixture(11);
+        let cell = hv.create_cell("rapilog", Trust::Trusted);
+        let rl = RapiLog::builder(&ctx)
+            .cell(&cell)
+            .disk(disk)
+            .capacity(CapacitySpec::Fixed(1 << 20))
+            .tenants(&[TenantSpec::new(5).weight(3)])
+            .build();
+        let snap = rl.snapshot();
+        assert_eq!(snap.tenants.len(), 1);
+        assert_eq!(snap.tenants[0].tenant, 5);
+        assert_eq!(snap.tenants[0].weight, 3);
+        std::mem::forget(cell);
+    }
+
+    /// Four writers push 1 KiB flushes at an HDD-backed instance built
+    /// either with no `.tenants()` or with `.tenants(&[TenantSpec::new(0)])`.
+    /// Returns the trace, the audit report and the drain statistics.
+    fn one_shard_run(
+        explicit: bool,
+        drain: DrainConfig,
+        sick: bool,
+    ) -> (String, AuditReport, DrainStats) {
+        let mut sim = Sim::new(0x1D);
+        let ctx = sim.ctx();
+        ctx.tracer().set_capacity(1 << 16);
+        ctx.tracer().set_enabled(true);
+        let hv = Hypervisor::new(&ctx);
+        let cell = hv.create_cell("rapilog", Trust::Trusted);
+        let disk = Disk::new(&ctx, specs::hdd_7200(1 << 30));
+        let mut builder = RapiLog::builder(&ctx)
+            .cell(&cell)
+            .disk(disk.clone())
+            .capacity(CapacitySpec::Fixed(4 << 20))
+            .drain_config(drain);
+        if explicit {
+            builder = builder.tenants(&[TenantSpec::new(0)]);
+        }
+        let rl = builder.build();
+        disk.set_sick(sick);
+        for w in 0..4u64 {
+            let dev = rl.device();
+            let ctx = ctx.clone();
+            sim.spawn(async move {
+                for i in 0..64u64 {
+                    let data = vec![i as u8; 2 * rapilog_simdisk::SECTOR_SIZE];
+                    // A dead drain freezes the buffer: later writes fail.
+                    let _ = dev.write(w * 4096 + i * 2, &data, true).await;
+                    ctx.sleep(SimDuration::from_micros(20)).await;
+                }
+            });
+        }
+        sim.run_until(rapilog_simcore::SimTime::from_secs(2));
+        let snap = rl.snapshot();
+        std::mem::forget(cell);
+        (ctx.tracer().snapshot().to_jsonl(), snap.audit, snap.drain)
+    }
+
+    #[test]
+    fn a_default_build_is_the_tenant_zero_one_shard_build() {
+        let adaptive = DrainConfig::new()
+            .ordering(OrderingMode::PartiallyConstrained)
+            .window_depth(1)
+            .batch_policy(BatchPolicy::Adaptive(AdaptiveBatchConfig::default()));
+        let retries_off = DrainConfig::new().retry(RetryPolicy {
+            enabled: false,
+            ..RetryPolicy::default()
+        });
+        for (name, drain, sick) in [
+            ("strict", DrainConfig::new(), false),
+            ("adaptive", adaptive, false),
+            ("drain failure", retries_off, true),
+        ] {
+            let (trace, audit, stats) = one_shard_run(false, drain, sick);
+            let (named_trace, named_audit, _) = one_shard_run(true, drain, sick);
+            assert!(trace == named_trace, "{name}: traces diverge");
+            assert_eq!(format!("{audit:?}"), format!("{named_audit:?}"), "{name}");
+            assert!(audit.tenants.is_empty(), "{name}: no tenant sections");
+            assert_eq!(audit.guarantee_held(), !sick, "{name}: {audit:?}");
+            if name == "adaptive" {
+                assert!(stats.hold_fires > 0, "the hold timer never armed");
+            }
+        }
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Tenant-sharded buffering: many guest cells, one dependable drain.
 //!
-//! A multi-tenant RapiLog instance splits its admission capacity into one
-//! [`DependableBuffer`] shard per tenant. Each shard keeps its own byte
-//! accounting, backpressure threshold, and sequence space, so one noisy
-//! tenant saturating its share blocks only its own writers — the other
-//! cells keep early-ack latency. All shards report availability through a
-//! *shared* notify, which is what wakes the single fair-share drain
-//! scheduler (`drain::start_sharded`).
+//! Every RapiLog instance splits its admission capacity into one
+//! [`DependableBuffer`] shard per tenant; a single-tenant instance is the
+//! one-shard case. Each shard keeps its own byte accounting, backpressure
+//! threshold, and sequence space, so one noisy tenant saturating its share
+//! blocks only its own writers — the other cells keep early-ack latency.
+//! All shards report availability through a *shared* notify, which is what
+//! wakes the one drain loop (`drain::start`).
 //!
 //! Capacity is split proportionally to tenant weight and rounded down to
 //! sector multiples, so the *aggregate* of the shares never exceeds the

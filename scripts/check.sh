@@ -16,6 +16,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --all -- --check"
 cargo fmt --all -- --check
 
+echo "==> latency-breakdown figure (trace smoke test)"
+./target/release/fig_latency_breakdown
+
 echo "==> crash-point sweep (200 trials + broken-drain control)"
 ./target/release/crashpoint_sweep
 
@@ -39,5 +42,8 @@ BENCH_CHECK=1 cargo bench -q -p rapilog-bench --bench hotpaths
 
 echo "==> trials/sec regression gate (QUICK sweeps vs BENCH_baseline.json)"
 scripts/perf_gate.sh
+
+echo "==> media-fault table (degraded-mode smoke test)"
+./target/release/table4_disk_faults
 
 echo "==> all checks passed"
