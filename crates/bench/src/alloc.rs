@@ -37,6 +37,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
         unsafe { System.alloc(layout) }
     }
 
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        // Forwarded rather than left to the default (alloc + memset): the
+        // system allocator hands large zeroed blocks back as untouched
+        // pages, which the sparse disk stores rely on to stay small.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }

@@ -5,9 +5,14 @@
 //! stream at ~one rotation per transaction; group commit claws back some
 //! throughput as clients grow. RapiLog removes the rotation from the commit
 //! path entirely, so it wins most at low client counts and never loses.
+//!
+//! The run doubles as a gate on the paper's shape: it exits non-zero unless
+//! RapiLog's throughput is at least virt-sync's, and virt-sync's at most
+//! native's (within 1%, see `VIRT_OVER_NATIVE_TOLERANCE`), at every client
+//! count.
 
 use rapilog_bench::table::{ms, TextTable};
-use rapilog_bench::{run_perf, PerfConfig, WorkloadSpec};
+use rapilog_bench::{paper_shape_holds, run_perf, PerfConfig, WorkloadSpec};
 use rapilog_faultsim::{MachineConfig, Setup};
 use rapilog_simcore::SimDuration;
 use rapilog_simdisk::specs;
@@ -32,6 +37,7 @@ fn main() {
         "p95 (ms)",
         "lock timeouts",
     ]);
+    let mut rows = Vec::new();
     for setup in [Setup::Native, Setup::Virtualized, Setup::RapiLog] {
         for &clients in client_counts {
             let mut machine =
@@ -50,6 +56,7 @@ fn main() {
                 trace: false,
             })
             .stats;
+            rows.push((setup, clients, stats.tps()));
             t.row(&[
                 setup.label().to_string(),
                 clients.to_string(),
@@ -63,4 +70,9 @@ fn main() {
     println!("{}", t.render());
     println!("Expected shape: RapiLog ≥ the sync setups everywhere; largest win at 1–8 clients;");
     println!("virt-sync tracks native minus a few percent (the virtualisation overhead).");
+    // Gate: the paper's shape must hold at every client count.
+    if !paper_shape_holds(&rows) {
+        std::process::exit(1);
+    }
+    println!("Gate: RapiLog >= virt-sync, virt-sync <= native (+1%) at every client count: held");
 }

@@ -32,4 +32,4 @@ pub use json::Json;
 pub use parallel::{
     explore_crash_points_parallel, explore_failovers_parallel, run_parallel, thread_count,
 };
-pub use perf::{run_perf, PerfConfig, PerfOutcome, WorkloadSpec};
+pub use perf::{paper_shape_holds, run_perf, PerfConfig, PerfOutcome, WorkloadSpec};

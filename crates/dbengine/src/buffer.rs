@@ -2,9 +2,32 @@
 //!
 //! Pages live in frames; a frame is pinned while any caller holds its
 //! `Rc`. Eviction is LRU over unpinned frames. Before a dirty page goes to
-//! the device — on eviction or checkpoint — the WAL is forced up to the
-//! page's LSN. That single rule is what makes the log the authority for
-//! recovery.
+//! the device — on eviction, cleaning or checkpoint — the WAL is forced up
+//! to the page's LSN. That single rule is what makes the log the authority
+//! for recovery.
+//!
+//! # Victim cleaning
+//!
+//! A miss on a full pool evicts the *victim*: the first unpinned frame in
+//! LRU order. Were the victim dirty, the miss would pay a WAL force and a
+//! page write before its own read, all while its transaction holds row
+//! locks. The victim cleaner — one task in the database's cancellation
+//! domain, so a guest crash kills it — keeps the victim clean instead:
+//! whenever a miss leaves the pool full, it writes back the frame the next
+//! miss would evict, through the same write-back path (WAL-before-data,
+//! full-page-image re-stamping), so a miss pays one read. It is woken when
+//! a miss evicts (a new victim heads the LRU) and when a load fills the
+//! pool. A miss whose victim is dirty while a write-back ahead of it in LRU
+//! order is landing waits for that frame instead of writing its own.
+//! [`PoolStats::dirty_evictions`] counts the misses that still had to write
+//! their own victim.
+//!
+//! At most one write per page is in flight. The cleaner and eviction never
+//! pick a frame under write-back; a checkpoint waits for it, then writes
+//! only if the page is still dirty. Otherwise, on a multi-channel device, an
+//! older image could land after a newer one that was already marked clean.
+//! Eviction likewise drops only a frame that is still clean after its
+//! write-back: a frame re-stamped during the write stays resident.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -12,7 +35,8 @@ use std::rc::Rc;
 
 use rapilog_simcore::bytes::SectorBuf;
 use rapilog_simcore::hash::FastMap;
-use rapilog_simcore::sync::Event;
+use rapilog_simcore::sync::{Event, Notify};
+use rapilog_simcore::{DomainId, SimCtx};
 use rapilog_simdisk::{BlockDevice, IoReq};
 
 use crate::error::{DbError, DbResult};
@@ -43,15 +67,39 @@ pub struct PoolStats {
     pub hits: u64,
     /// Fetches that read the device.
     pub misses: u64,
-    /// Dirty pages written back (evictions + checkpoints).
+    /// Dirty pages written back (evictions, cleaning and checkpoints).
     pub writebacks: u64,
+    /// Misses that found their victim dirty and had to write it back
+    /// themselves (the victim cleaner had not got to it).
+    pub dirty_evictions: u64,
 }
 
 struct PoolSt {
     frames: FastMap<PageId, FrameRef>,
     lru: VecDeque<PageId>,
     loading: FastMap<PageId, Event>,
+    /// Pages with a write-back in flight; each event is set when it lands.
+    writing: FastMap<PageId, Event>,
+    stopped: bool,
     stats: PoolStats,
+}
+
+impl PoolSt {
+    /// True once the next miss must evict: resident frames plus the loads
+    /// in progress fill the pool.
+    fn full(&self, capacity: usize) -> bool {
+        self.frames.len() + self.loading.len() >= capacity
+    }
+
+    /// The frame the next miss would evict: the first unpinned frame in
+    /// LRU order. A frame under write-back is pinned by its writer, so it
+    /// is never the victim.
+    fn victim(&self) -> Option<(PageId, FrameRef)> {
+        self.lru.iter().find_map(|pid| {
+            let f = self.frames.get(pid)?;
+            (Rc::strong_count(f) == 1).then(|| (*pid, Rc::clone(f)))
+        })
+    }
 }
 
 /// The buffer pool.
@@ -65,6 +113,31 @@ struct PoolInner {
     wal: Wal,
     capacity: usize,
     st: RefCell<PoolSt>,
+    /// Wakes the victim cleaner when a miss leaves the pool full.
+    clean: Notify,
+}
+
+/// Marks a page's write-back in flight for as long as it lives. Dropping
+/// it — on completion, error or cancellation — releases any waiter.
+struct InFlight<'a> {
+    inner: &'a PoolInner,
+    pid: PageId,
+}
+
+impl<'a> InFlight<'a> {
+    fn start(inner: &'a PoolInner, pid: PageId) -> Self {
+        inner.st.borrow_mut().writing.insert(pid, Event::new());
+        InFlight { inner, pid }
+    }
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        let done = self.inner.st.borrow_mut().writing.remove(&self.pid);
+        if let Some(done) = done {
+            done.set();
+        }
+    }
 }
 
 impl BufferPool {
@@ -81,10 +154,48 @@ impl BufferPool {
                     frames: FastMap::default(),
                     lru: VecDeque::new(),
                     loading: FastMap::default(),
+                    writing: FastMap::default(),
+                    stopped: false,
                     stats: PoolStats::default(),
                 }),
+                clean: Notify::new(),
             }),
         }
+    }
+
+    /// Starts the victim cleaner in `domain`. It runs until
+    /// [`stop`](Self::stop), a failed write-back, or the domain's death.
+    pub fn start_cleaner(&self, ctx: &SimCtx, domain: DomainId) {
+        let pool = self.clone();
+        ctx.spawn_in(domain, async move {
+            loop {
+                pool.inner.clean.notified().await;
+                loop {
+                    let dirty_victim = {
+                        let st = pool.inner.st.borrow();
+                        if st.stopped {
+                            return;
+                        }
+                        if !st.full(pool.inner.capacity) {
+                            break;
+                        }
+                        st.victim().filter(|(_, f)| f.borrow().dirty)
+                    };
+                    let Some((pid, frame)) = dirty_victim else {
+                        break;
+                    };
+                    if pool.write_frame(pid, &frame).await.is_err() {
+                        return;
+                    }
+                }
+            }
+        });
+    }
+
+    /// Stops the victim cleaner (engine shutdown).
+    pub fn stop(&self) {
+        self.inner.st.borrow_mut().stopped = true;
+        self.inner.clean.notify_one();
     }
 
     /// Statistics snapshot.
@@ -138,16 +249,20 @@ impl BufferPool {
             let result = self
                 .load_page(pid, table, slot_size, tolerate_corrupt)
                 .await;
-            let ev = {
+            let (ev, full) = {
                 let mut st = self.inner.st.borrow_mut();
                 let ev = st.loading.remove(&pid).expect("loading marker vanished");
                 if let Ok(frame) = &result {
                     st.frames.insert(pid, Rc::clone(frame));
                     st.lru.push_back(pid);
                 }
-                ev
+                (ev, st.full(self.inner.capacity))
             };
             ev.set();
+            if full {
+                // The next miss will evict: have its victim cleaned first.
+                self.inner.clean.notify_one();
+            }
             return result;
         }
     }
@@ -182,55 +297,83 @@ impl BufferPool {
     }
 
     async fn make_room(&self) -> DbResult<()> {
+        let mut wrote_victim = false;
         loop {
-            let victim: Option<(PageId, FrameRef)> = {
+            let (victim, landing) = {
                 let st = self.inner.st.borrow();
                 if st.frames.len() < self.inner.capacity {
                     return Ok(());
                 }
-                st.lru
-                    .iter()
-                    .find(|pid| {
-                        st.frames
-                            .get(pid)
-                            // Pinned frames (extra Rc holders) are skipped.
-                            .map(|f| Rc::strong_count(f) == 1)
-                            .unwrap_or(false)
-                    })
-                    .map(|&pid| (pid, Rc::clone(&st.frames[&pid])))
+                let victim = st.victim();
+                // A write-back in flight ahead of a dirty victim (the
+                // cleaner's, usually) hands over a clean frame sooner than
+                // a WAL force and a write of our own would.
+                let landing =
+                    victim
+                        .as_ref()
+                        .filter(|(_, f)| f.borrow().dirty)
+                        .and_then(|(vpid, _)| {
+                            st.lru
+                                .iter()
+                                .take_while(|pid| *pid != vpid)
+                                .find_map(|pid| st.writing.get(pid).cloned())
+                        });
+                (victim, landing)
             };
+            if let Some(landing) = landing {
+                drop(victim);
+                landing.wait().await;
+                continue;
+            }
             let Some((pid, frame)) = victim else {
-                // Everything is pinned: allow temporary overcommit rather
-                // than deadlocking; the pool shrinks on later fetches.
+                // Everything is pinned or being written: allow temporary
+                // overcommit rather than deadlocking; the pool shrinks on
+                // later fetches.
                 return Ok(());
             };
-            self.write_frame(pid, &frame).await?;
+            if frame.borrow().dirty {
+                if !wrote_victim {
+                    wrote_victim = true;
+                    self.inner.st.borrow_mut().stats.dirty_evictions += 1;
+                }
+                self.write_frame(pid, &frame).await?;
+            }
             drop(frame); // release our own pin before re-checking
             let mut st = self.inner.st.borrow_mut();
-            // The frame may have been re-pinned while we wrote; only drop
-            // it if it is still unpinned (the write was still useful).
-            let unpinned = st
+            // The frame may have been re-pinned or re-dirtied while we
+            // wrote; only drop it if it is still unpinned and clean.
+            let evictable = st
                 .frames
                 .get(&pid)
-                .is_some_and(|f| Rc::strong_count(f) == 1);
-            if unpinned {
+                .is_some_and(|f| Rc::strong_count(f) == 1 && !f.borrow().dirty);
+            if evictable {
                 st.frames.remove(&pid);
                 if let Some(pos) = st.lru.iter().position(|&p| p == pid) {
                     st.lru.remove(pos);
                 }
+                // A new victim heads the LRU: clean it while we read.
+                self.inner.clean.notify_one();
                 return Ok(());
             }
         }
     }
 
     async fn write_frame(&self, pid: PageId, frame: &FrameRef) -> DbResult<()> {
-        let (dirty, lsn, bytes) = {
-            let f = frame.borrow();
-            (f.dirty, f.page.lsn(), f.page.to_disk_bytes())
-        };
-        if !dirty {
+        // At most one write per page in flight: wait out another writer's,
+        // then write only if the page is still dirty.
+        loop {
+            let in_flight = self.inner.st.borrow().writing.get(&pid).cloned();
+            let Some(done) = in_flight else { break };
+            done.wait().await;
+        }
+        if !frame.borrow().dirty {
             return Ok(());
         }
+        let _in_flight = InFlight::start(&self.inner, pid);
+        let (lsn, bytes) = {
+            let f = frame.borrow();
+            (f.page.lsn(), f.page.to_disk_bytes())
+        };
         // WAL-before-data: the log must cover the page's changes first.
         self.inner.wal.flush_to(lsn).await?;
         let token = self.inner.dev.submit(IoReq::Write {
@@ -352,8 +495,8 @@ mod tests {
     use super::*;
     use crate::page::PAGE_SIZE;
     use crate::wal::CommitPolicy;
-    use rapilog_simcore::{DomainId, Sim};
-    use rapilog_simdisk::{specs, Disk};
+    use rapilog_simcore::{DomainId, Sim, SimDuration};
+    use rapilog_simdisk::{specs, Disk, DiskSpec};
     use std::cell::Cell as StdCell;
 
     fn pool_fixture(sim: &mut Sim, capacity: usize) -> (BufferPool, Disk, Wal) {
@@ -483,6 +626,286 @@ mod tests {
         });
         sim.run();
         assert!(done.get());
+    }
+
+    /// Logs an update to `pid` and applies it: slot 0 holds `value`.
+    async fn dirty_page(pool: &BufferPool, wal: &Wal, pid: u64, value: u64) -> FrameRef {
+        let f = pool
+            .fetch(PageId(pid), TableId(1), 64, false)
+            .await
+            .unwrap();
+        let (lsn, _) = wal
+            .append(&Record::Update {
+                txn: crate::types::TxnId(1),
+                prev: Lsn::ZERO,
+                table: TableId(1),
+                page: PageId(pid),
+                slot: 0,
+                key: pid,
+                before: Vec::new(),
+                after: value.to_le_bytes().to_vec(),
+            })
+            .unwrap();
+        {
+            let mut fr = f.borrow_mut();
+            fr.page.write_slot(0, pid, &value.to_le_bytes());
+            fr.page.set_lsn(lsn);
+        }
+        BufferPool::mark_dirty(&f);
+        f
+    }
+
+    /// A pool over flash-latency devices, so writes and reads take time.
+    fn flash_pool(sim: &mut Sim, data: DiskSpec, capacity: usize) -> (BufferPool, Disk, Wal) {
+        let ctx = sim.ctx();
+        let data = Disk::new(&ctx, data);
+        let logd = Disk::new(&ctx, specs::ssd_sata(16 << 20));
+        let wal = Wal::new(
+            &ctx,
+            Rc::new(logd),
+            CommitPolicy::default(),
+            Lsn::ZERO,
+            Lsn::ZERO,
+            DomainId::ROOT,
+        );
+        let pool = BufferPool::new(Rc::new(data.clone()), wal.clone(), capacity);
+        (pool, data, wal)
+    }
+
+    #[test]
+    fn cleaner_keeps_the_victim_clean_under_a_steady_miss_load() {
+        let mut sim = Sim::new(2);
+        let ctx = sim.ctx();
+        let (pool, data, wal) = flash_pool(&mut sim, specs::ssd_sata(64 << 20), 8);
+        pool.start_cleaner(&ctx, DomainId::ROOT);
+        let done = Rc::new(StdCell::new(false));
+        let d2 = Rc::clone(&done);
+        sim.spawn(async move {
+            for pid in 0..8 {
+                dirty_page(&pool, &wal, pid, pid).await;
+            }
+            let (misses, reads) = (pool.stats().misses, data.stats().reads);
+            // Every miss evicts, and every page it brings in is dirtied.
+            for pid in 8..40 {
+                ctx.sleep(SimDuration::from_millis(1)).await;
+                dirty_page(&pool, &wal, pid, pid).await;
+            }
+            let s = pool.stats();
+            assert_eq!(s.misses - misses, 32);
+            assert_eq!(s.dirty_evictions, 0, "every victim was already clean");
+            assert_eq!(data.stats().reads - reads, 32, "one device read per miss");
+            assert!(s.writebacks >= 32, "the cleaner wrote the victims back");
+            pool.stop();
+            d2.set(true);
+        });
+        sim.run();
+        assert!(done.get());
+    }
+
+    #[test]
+    fn cleaner_dies_with_the_guest() {
+        let mut sim = Sim::new(2);
+        let ctx = sim.ctx();
+        let guest = ctx.create_domain();
+        let (pool, data, wal) = flash_pool(&mut sim, specs::ssd_sata(64 << 20), 8);
+        pool.start_cleaner(&ctx, guest);
+        let done = Rc::new(StdCell::new(false));
+        let d2 = Rc::clone(&done);
+        sim.spawn(async move {
+            for pid in 0..8 {
+                dirty_page(&pool, &wal, pid, pid).await;
+            }
+            // The full pool has just woken the cleaner: crash the guest
+            // before it runs.
+            assert_eq!(ctx.kill_domain(guest), 1, "the cleaner is the guest's");
+            let writes = data.stats().writes;
+            for pid in 8..24 {
+                ctx.sleep(SimDuration::from_millis(1)).await;
+                dirty_page(&pool, &wal, pid, pid).await;
+            }
+            let s = pool.stats();
+            assert_eq!(s.dirty_evictions, 16, "each miss wrote its own victim");
+            assert_eq!(
+                data.stats().writes - writes,
+                s.dirty_evictions,
+                "no write-back but the misses' own"
+            );
+            d2.set(true);
+        });
+        sim.run();
+        assert!(done.get());
+    }
+
+    /// The cleaner's write-back of a page waits for a flash channel; the
+    /// page is updated, and a checkpoint asks for it at the very instant
+    /// the channels free up — ahead of the cleaner's queued write. Were the
+    /// two writes both in flight, the checkpoint's newer image would land
+    /// first and be marked clean, and the cleaner's older one would land
+    /// over it.
+    #[test]
+    fn checkpoint_waits_out_the_cleaners_write_back() {
+        let mut sim = Sim::new(3);
+        let ctx = sim.ctx();
+        let spec = specs::ssd_nvme(64 << 20).with_channels(4);
+        let (pool, data, wal) = flash_pool(&mut sim, spec, 2);
+        pool.start_cleaner(&ctx, DomainId::ROOT);
+        let done = Rc::new(StdCell::new(false));
+        let d2 = Rc::clone(&done);
+        sim.spawn(async move {
+            let big = || vec![SectorBuf::from_vec(vec![7u8; 64 * 512])];
+            let p = PageId(3);
+            // Pinning the other frame makes `p` the victim.
+            let _pinned = pool.fetch(PageId(9), TableId(1), 64, false).await;
+            drop(dirty_page(&pool, &wal, p.0, 1).await);
+            ctx.sleep(SimDuration::from_millis(1)).await;
+            assert!(!pool.inner.st.borrow().frames[&p].borrow().dirty);
+            drop(dirty_page(&pool, &wal, p.0, 2).await);
+            wal.wait_durable(wal.end()).await.unwrap();
+            // How long a big write holds a channel.
+            let t = ctx.now();
+            data.write(20_000, big()[0].as_slice(), false)
+                .await
+                .unwrap();
+            let hold = ctx.now() - t;
+            // The checkpoint's timer is armed before the channels' timers,
+            // so at the instant they fire it runs first.
+            let ckpt = {
+                let (ctx, pool) = (ctx.clone(), pool.clone());
+                ctx.clone().spawn(async move {
+                    ctx.sleep(hold).await;
+                    pool.flush_pages(&[(p, Lsn::ZERO)]).await.unwrap();
+                })
+            };
+            let fill: Vec<_> = (0..4)
+                .map(|i| {
+                    data.submit(IoReq::Write {
+                        sector: 30_000 + i * 64,
+                        segments: big(),
+                        fua: false,
+                    })
+                })
+                .collect();
+            // Stand in for the miss that would wake the cleaner: it queues
+            // its write of `p` behind the busy channels.
+            pool.inner.clean.notify_one();
+            ctx.yield_now().await;
+            drop(dirty_page(&pool, &wal, p.0, 3).await);
+            wal.wait_durable(wal.end()).await.unwrap();
+            ckpt.await;
+            for token in fill {
+                data.wait(token).await.unwrap();
+            }
+            // Let every write-back land, then compare.
+            ctx.sleep(SimDuration::from_millis(1)).await;
+            let frame = pool.inner.st.borrow().frames[&p].clone();
+            assert!(!frame.borrow().dirty, "the checkpoint cleaned the page");
+            let mut media = vec![0u8; PAGE_SIZE];
+            data.peek_media(p.0 * PAGE_SECTORS, &mut media);
+            assert!(
+                media == frame.borrow().page.to_disk_bytes(),
+                "media holds an older image than the one marked clean"
+            );
+            pool.stop();
+            d2.set(true);
+        });
+        sim.run();
+        assert!(done.get());
+    }
+
+    /// Writers, misses, the cleaner and a checkpoint loop race on a small
+    /// pool over a 4-channel SSD. Afterwards every clean resident frame
+    /// must match its media image, and every evicted page's media image
+    /// must hold its last update: an older write-back landing after a newer
+    /// one that was marked clean breaks one or the other.
+    #[test]
+    fn media_holds_the_last_image_marked_clean() {
+        for seed in 0..12 {
+            let mut sim = Sim::new(seed);
+            let ctx = sim.ctx();
+            let spec = specs::ssd_nvme(64 << 20).with_channels(4);
+            let (pool, data, wal) = flash_pool(&mut sim, spec, 8);
+            pool.start_cleaner(&ctx, DomainId::ROOT);
+            let latest: Rc<RefCell<FastMap<u64, u64>>> = Rc::default();
+            let writers_left = Rc::new(StdCell::new(4));
+            for w in 0..4u64 {
+                let (ctx, pool, wal) = (ctx.clone(), pool.clone(), wal.clone());
+                let (latest, writers_left) = (Rc::clone(&latest), Rc::clone(&writers_left));
+                sim.spawn(async move {
+                    for i in 0..150u64 {
+                        let pid = ctx.rand_range(0, 12);
+                        let value = w << 32 | i;
+                        let f = dirty_page(&pool, &wal, pid, value).await;
+                        latest.borrow_mut().insert(pid, value);
+                        // Hold the pin a little, so re-stamps and pinned
+                        // victims both happen.
+                        ctx.sleep(SimDuration::from_micros(ctx.rand_range(0, 20)))
+                            .await;
+                        drop(f);
+                        ctx.sleep(SimDuration::from_micros(ctx.rand_range(0, 30)))
+                            .await;
+                    }
+                    writers_left.set(writers_left.get() - 1);
+                });
+            }
+            {
+                let (ctx, pool) = (ctx.clone(), pool.clone());
+                let writers_left = Rc::clone(&writers_left);
+                sim.spawn(async move {
+                    while writers_left.get() > 0 {
+                        let dpt = pool.dirty_page_table();
+                        pool.flush_pages(&dpt).await.unwrap();
+                        ctx.sleep(SimDuration::from_micros(40)).await;
+                    }
+                    pool.stop();
+                });
+            }
+            // Between write-backs, a clean frame's image is what media holds.
+            {
+                let (ctx, pool, data) = (ctx.clone(), pool.clone(), data.clone());
+                let writers_left = Rc::clone(&writers_left);
+                sim.spawn(async move {
+                    while writers_left.get() > 0 {
+                        for (pid, f) in pool.inner.st.borrow().frames.iter() {
+                            let f = f.borrow();
+                            if f.dirty || pool.inner.st.borrow().writing.contains_key(pid) {
+                                continue;
+                            }
+                            let mut media = vec![0u8; PAGE_SIZE];
+                            data.peek_media(pid.0 * PAGE_SECTORS, &mut media);
+                            assert!(
+                                media == f.page.to_disk_bytes(),
+                                "seed {seed}: page {pid:?} clean but media differs"
+                            );
+                        }
+                        ctx.sleep(SimDuration::from_micros(5)).await;
+                    }
+                });
+            }
+            sim.run();
+            for (&pid, &value) in latest.borrow().iter() {
+                let mut media = vec![0u8; PAGE_SIZE];
+                data.peek_media(pid * PAGE_SECTORS, &mut media);
+                let frame = pool.inner.st.borrow().frames.get(&PageId(pid)).cloned();
+                match frame {
+                    Some(f) if !f.borrow().dirty => assert_eq!(
+                        media,
+                        f.borrow().page.to_disk_bytes(),
+                        "seed {seed}: page {pid} clean but media differs"
+                    ),
+                    Some(_) => {}
+                    None => {
+                        let PageLoad::Valid(page) = Page::load(&media) else {
+                            panic!("seed {seed}: evicted page {pid} not on media");
+                        };
+                        assert_eq!(
+                            page.read_slot(0),
+                            Some((pid, value.to_le_bytes().to_vec())),
+                            "seed {seed}: evicted page {pid} lost its last update"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! The database façade: catalog, transactions, row operations, checkpoints.
 //!
 //! See the [crate docs](crate) for the architecture. The engine is driven
-//! entirely by its callers' tasks (the simulated clients) plus two
-//! background tasks — the WAL flusher and the checkpointer — all spawned in
-//! the **database's own cancellation domain**: when the guest OS crashes,
-//! the whole engine vanishes mid-flight, like a real kernel panic.
+//! entirely by its callers' tasks (the simulated clients) plus three
+//! background tasks — the WAL flusher, the checkpointer and the buffer
+//! pool's victim cleaner — all spawned in the **database's own
+//! cancellation domain**: when the guest OS crashes, the whole engine
+//! vanishes mid-flight, like a real kernel panic.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -249,7 +250,8 @@ fn layout_tables(defs: &[TableDef]) -> Vec<TableMeta> {
 impl Database {
     /// Creates a fresh database on blank devices: writes the catalog and
     /// the initial checkpoint, then opens for business. Background tasks
-    /// (WAL flusher, checkpointer) are spawned into `domain`.
+    /// (WAL flusher, checkpointer, victim cleaner) are spawned into
+    /// `domain`.
     pub async fn create(
         ctx: &SimCtx,
         cfg: DbConfig,
@@ -298,7 +300,7 @@ impl Database {
         wal.wait_durable(end).await?;
         let pool = BufferPool::new(data_dev, wal.clone(), cfg.pool_pages);
         let db = Self::assemble(ctx, cfg, tables, wal, pool, log_dev);
-        db.start_checkpointer(domain);
+        db.start_background(domain);
         Ok(db)
     }
 
@@ -356,9 +358,11 @@ impl Database {
         decode_catalog(data.as_slice())
     }
 
-    /// Starts the periodic checkpointer in `domain`. It exits promptly on
-    /// [`Database::stop`] so simulations can run to idle.
-    pub fn start_checkpointer(&self, domain: DomainId) {
+    /// Starts the periodic checkpointer and the buffer pool's victim
+    /// cleaner in `domain`. Both exit promptly on [`Database::stop`] so
+    /// simulations can run to idle.
+    pub fn start_background(&self, domain: DomainId) {
+        self.inner.pool.start_cleaner(&self.inner.ctx, domain);
         let db = self.clone();
         let interval = self.inner.cfg.checkpoint_interval;
         self.inner.ctx.spawn_in(domain, async move {
@@ -434,6 +438,7 @@ impl Database {
         self.inner.stopped.set(true);
         self.inner.shutdown.set();
         self.inner.wal.stop();
+        self.inner.pool.stop();
     }
 
     /// Begins a transaction.
@@ -1029,6 +1034,53 @@ mod tests {
         });
         sim.run();
         sim
+    }
+
+    #[test]
+    fn unwaited_commits_and_aborts_reach_media() {
+        let mut sim = Sim::new(5);
+        let ctx = sim.ctx();
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let s2 = Rc::clone(&seen);
+        sim.spawn(async move {
+            let data = Rc::new(Disk::new(&ctx, specs::instant(256 << 20)));
+            let log = Rc::new(Disk::new(&ctx, specs::ssd_sata(64 << 20)));
+            let cfg = DbConfig {
+                profile: EngineProfile::async_unsafe(),
+                ..DbConfig::default()
+            };
+            let db = Database::create(&ctx, cfg, &small_tables(), data, log, DomainId::ROOT)
+                .await
+                .expect("create");
+            let acct = db.table("acct").unwrap();
+            let committed = db.begin().await.unwrap();
+            db.insert(committed, acct, 1, b"kept").await.unwrap();
+            db.commit(committed).await.unwrap();
+            let aborted = db.begin().await.unwrap();
+            db.insert(aborted, acct, 2, b"undone").await.unwrap();
+            db.abort(aborted).await.unwrap();
+            let end = db.wal().end();
+            assert!(db.wal().durable() < end, "the commit returned unforced");
+            // Nobody waits, yet the kicks carry both records to media.
+            ctx.sleep(SimDuration::from_millis(10)).await;
+            assert_eq!(db.wal().durable(), end);
+            let bytes = db
+                .wal()
+                .read_stream(Lsn::ZERO, end.0 as usize)
+                .await
+                .unwrap();
+            let mut at = Lsn::ZERO;
+            while at < end {
+                let (rec, len) = Record::decode(&bytes[at.0 as usize..], at).expect("on media");
+                s2.borrow_mut().push(rec);
+                at = at.advance(len as u64);
+            }
+            db.stop();
+        });
+        sim.run();
+        let seen = seen.borrow();
+        assert!(seen.iter().any(|r| matches!(r, Record::Commit { .. })));
+        assert!(seen.iter().any(|r| matches!(r, Record::Abort { .. })));
     }
 
     #[test]

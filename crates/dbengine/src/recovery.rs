@@ -513,7 +513,7 @@ impl Database {
         db.rebuild_index().await?;
         // Close recovery with a checkpoint: pages flushed, superblock moved.
         db.checkpoint().await?;
-        db.start_checkpointer(domain);
+        db.start_background(domain);
 
         let report = RecoveryReport {
             scanned_records: records.len() as u64,

@@ -11,12 +11,18 @@
 //!
 //! # Commit policies
 //!
-//! The flusher task turns staged bytes into FUA device writes. While one
-//! write is in flight, later appends accumulate and ride the next write —
-//! the *natural group commit* every engine exhibits under concurrency. An
-//! explicit `group_delay` (PostgreSQL's `commit_delay`) can force extra
-//! batching; `wait_for_durable = false` models the unsafe
-//! `synchronous_commit = off` configuration used as an ablation.
+//! The flusher task turns staged bytes into FUA device writes, on demand:
+//! it writes only while some caller has asked for more durability than it
+//! has delivered — [`Wal::wait_durable`]/[`Wal::flush_to`] up to an LSN, or
+//! [`Wal::kick`] up to the current end — as PostgreSQL's `XLogFlush` does.
+//! Records nobody waits for (a transaction's updates before its commit)
+//! stay staged and ride the next requested flush, which always takes every
+//! staged byte. While one write is in flight, later appends accumulate and
+//! ride the next write — the *natural group commit* every engine exhibits
+//! under concurrency. An explicit `group_delay` (PostgreSQL's
+//! `commit_delay`) can force extra batching; `wait_for_durable = false`
+//! models the unsafe `synchronous_commit = off` configuration used as an
+//! ablation (its commits still kick, so they reach media unwaited).
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -459,6 +465,9 @@ struct WalSt {
     buf_start: Lsn,
     /// Everything below is on the device.
     durable: Lsn,
+    /// Highest LSN a caller has asked to be durable; the flusher writes
+    /// only while this is above `durable`.
+    requested: Lsn,
     /// Oldest byte that must remain readable (checkpoint/undo horizon).
     recovery_start: Lsn,
     stopped: bool,
@@ -511,6 +520,7 @@ impl Wal {
                 buf: Vec::new(),
                 buf_start,
                 durable: start,
+                requested: start,
                 recovery_start,
                 stopped: false,
                 stats: WalStats::default(),
@@ -629,9 +639,24 @@ impl Wal {
         Ok((lsn, end))
     }
 
-    /// Requests a flush (the flusher batches).
+    /// Requests a flush of everything appended so far without waiting for
+    /// it (the flusher batches).
     pub fn kick(&self) {
-        self.inner.kick.notify_one();
+        let end = self.end();
+        self.request(end);
+    }
+
+    /// Raises the requested-durability mark to `upto` and wakes the
+    /// flusher if that asks for more than it has delivered.
+    fn request(&self, upto: Lsn) {
+        let mut st = self.inner.st.borrow_mut();
+        if upto > st.requested {
+            st.requested = upto;
+        }
+        if st.requested > st.durable {
+            drop(st);
+            self.inner.kick.notify_one();
+        }
     }
 
     /// Waits until everything below `upto` is durable. An `upto` beyond
@@ -649,7 +674,7 @@ impl Wal {
                     return Err(DbError::Stopped);
                 }
             }
-            self.inner.kick.notify_one();
+            self.request(upto);
             self.inner.durable_changed.notified().await;
         }
     }
@@ -892,13 +917,13 @@ async fn flusher_loop(inner: Rc<WalInner>) {
     loop {
         inner.kick.notified().await;
         loop {
-            // Anything to do?
+            // Has anyone asked for more than is durable?
             let pending = {
                 let st = inner.st.borrow();
                 if st.stopped {
                     return;
                 }
-                st.next > st.durable
+                st.requested > st.durable
             };
             if !pending {
                 break;
@@ -1191,6 +1216,27 @@ mod tests {
             flushes <= 3,
             "32 concurrent commits should batch into a few flushes, got {flushes}"
         );
+    }
+
+    #[test]
+    fn records_nobody_waits_for_stay_staged_until_kicked() {
+        let mut sim = Sim::new(1);
+        let (wal, disk) = wal_on_instant_disk(&mut sim);
+        let w2 = wal.clone();
+        sim.spawn(async move {
+            for i in 0..6u64 {
+                w2.append(&upd(i, i)).unwrap();
+            }
+        });
+        sim.run();
+        assert_eq!(disk.stats().writes, 0, "no waiter, no device write");
+        assert_eq!(wal.stats().flushes, 0);
+        assert_eq!(wal.durable(), Lsn::ZERO);
+        wal.kick();
+        sim.run();
+        assert_eq!(wal.stats().flushes, 1, "one kick, one flush");
+        assert_eq!(disk.stats().writes, 1);
+        assert_eq!(wal.durable(), wal.end(), "the flush took every record");
     }
 
     #[test]

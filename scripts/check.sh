@@ -34,6 +34,10 @@ QUICK=1 ./target/release/abl_recovery
 echo "==> SSD channel-scaling ablation (windowed drain gate, QUICK)"
 QUICK=1 ./target/release/abl_ssd_channels
 
+echo "==> TPC-C throughput figures (paper-shape gates, QUICK)"
+QUICK=1 ./target/release/fig4_tpcc_hdd
+QUICK=1 ./target/release/fig5_tpcc_ssd
+
 echo "==> multi-tenant fairness (fair-share drain gate, QUICK)"
 QUICK=1 ./target/release/fig_tenant_fairness
 
