@@ -48,14 +48,14 @@ static ALLOC: CountingAlloc = CountingAlloc;
 /// Allocation budget per committed storm transaction over the full RapiLog
 /// stack (client → engine → WAL → virtio → buffer → drain → media).
 ///
-/// The zero-copy path measures ~42 allocations per commit (pooled WAL
-/// batches, viewed extents, moved drain batches, per-task cached wakers);
-/// the pre-zero-copy baseline measured ~106 on the same workload. The
-/// budget sits between the two — less than half the old baseline, so the
-/// asserted win stays over 50%, yet ~20% above the measurement to absorb
-/// noise and batching variance. Reintroducing even one per-commit copy on
-/// the log path blows straight through it.
-const STORM_ALLOCS_PER_COMMIT_BUDGET: f64 = 50.0;
+/// The zero-copy path measures ~33.8 allocations per commit for `storm`
+/// and ~24.6 for `storm_timer` (pooled WAL batches, viewed extents, moved
+/// drain batches, per-task cached wakers); the pre-zero-copy baseline
+/// measured ~106 on the same workload. The budget sits ~18% above the
+/// larger measurement to absorb noise and batching variance — well under
+/// half the old baseline. Reintroducing even one per-commit copy on the
+/// log path blows straight through it.
+const STORM_ALLOCS_PER_COMMIT_BUDGET: f64 = 40.0;
 
 struct Runner {
     /// `BENCH_CHECK=1`: shortened iteration counts for CI smoke runs.

@@ -26,7 +26,7 @@ use rapilog_bench::table::{f1, TextTable};
 use rapilog_bench::{run_parallel, thread_count, Json};
 use rapilog_microvisor::{Hypervisor, Trust};
 use rapilog_simcore::{Sim, SimDuration, SimTime};
-use rapilog_simdisk::{specs, BlockDevice, SECTOR_SIZE};
+use rapilog_simdisk::{specs, BlockDeviceExt, SECTOR_SIZE};
 
 const CHANNELS: [u32; 4] = [1, 2, 4, 8];
 const EXTENT: u64 = 256 << 10;

@@ -1,4 +1,4 @@
-//! Fig 2 [reconstructed]: commit-latency anatomy.
+//! Fig 2 \[reconstructed\]: commit-latency anatomy.
 //!
 //! A single client commits minimal transactions (the commit storm). The
 //! commit latency is dominated by the log force: one disk rotation under

@@ -1,4 +1,4 @@
-//! Fig 3 [reconstructed]: the cost of virtualisation alone.
+//! Fig 3 \[reconstructed\]: the cost of virtualisation alone.
 //!
 //! Native vs. virtualised, both with synchronous logging, on disks fast
 //! enough that the log force does not mask the CPU and I/O-crossing tax.

@@ -1,4 +1,4 @@
-//! Fig 4 [reconstructed]: TPC-C throughput vs. client count on an HDD.
+//! Fig 4 \[reconstructed\]: TPC-C throughput vs. client count on an HDD.
 //!
 //! The headline figure: native-sync vs. virtualised-sync vs. RapiLog. On a
 //! rotating disk, synchronous logging serialises each district's commit

@@ -1,4 +1,4 @@
-//! Fig 5 [reconstructed]: TPC-C throughput vs. client count on an SSD.
+//! Fig 5 \[reconstructed\]: TPC-C throughput vs. client count on an SSD.
 //!
 //! Same sweep as Fig 4 with the log on flash. The synchronous path no
 //! longer pays rotations, so RapiLog's advantage shrinks — the paper's

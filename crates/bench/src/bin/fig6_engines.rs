@@ -1,4 +1,4 @@
-//! Fig 6 [reconstructed]: cross-engine comparison.
+//! Fig 6 \[reconstructed\]: cross-engine comparison.
 //!
 //! The paper's evaluation spans multiple engines (PostgreSQL, MySQL, a
 //! commercial system). What differs between them, for logging purposes, is

@@ -1,4 +1,4 @@
-//! Fig 7 [reconstructed]: pgbench-style (TPC-B) throughput vs. clients.
+//! Fig 7 \[reconstructed\]: pgbench-style (TPC-B) throughput vs. clients.
 //!
 //! Four writes and a commit per transaction: nearly all commit path. The
 //! sharpest view of what removing the synchronous log force buys.

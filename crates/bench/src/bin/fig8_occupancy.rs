@@ -1,4 +1,4 @@
-//! Fig 8 [reconstructed]: dependable-buffer occupancy over time, with a
+//! Fig 8 \[reconstructed\]: dependable-buffer occupancy over time, with a
 //! guest crash in the middle.
 //!
 //! Shows the buffer breathing under TPC-C load and — after the guest OS is

@@ -4,8 +4,8 @@
 //!
 //! 1. **Fleet throughput** — four cells share a sharded RapiLog on a SATA
 //!    SSD; 10³ closed-loop sessions (commit storm) are zipf-split over the
-//!    cells ([`zipf_split`]'s YCSB-style skew), all drivers run
-//!    concurrently in one simulation. Reported: total tps, per-cell tps,
+//!    cells ([`zipf_split`](rapilog_workload::fleet::zipf_split)'s
+//!    YCSB-style skew), all drivers run concurrently in one simulation. Reported: total tps, per-cell tps,
 //!    the merged p99/p999 commit latency, and the *session-normalized*
 //!    fairness (per-session tps min/max — raw per-cell tps under a zipf
 //!    split only reflects the skew, not the scheduler).
@@ -35,7 +35,7 @@ use rapilog_bench::Json;
 use rapilog_dbengine::{Database, DbConfig};
 use rapilog_microvisor::{Hypervisor, Trust};
 use rapilog_simcore::{DomainId, Sim, SimDuration, SimTime};
-use rapilog_simdisk::{specs, BlockDevice, Disk, SECTOR_SIZE};
+use rapilog_simdisk::{specs, BlockDevice, BlockDeviceExt, Disk, SECTOR_SIZE};
 use rapilog_workload::client::StormSource;
 use rapilog_workload::fleet::{run_fleet, FleetConfig, FleetStats};
 use rapilog_workload::micro;

@@ -1,4 +1,4 @@
-//! Table 1 [reconstructed]: residual-energy windows and the buffer sizes
+//! Table 1 \[reconstructed\]: residual-energy windows and the buffer sizes
 //! they admit.
 //!
 //! The paper measured PSU hold-up times and derived how much log data can

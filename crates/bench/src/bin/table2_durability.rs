@@ -1,4 +1,4 @@
-//! Table 2 [reconstructed]: the durability campaign.
+//! Table 2 \[reconstructed\]: the durability campaign.
 //!
 //! For each setup × fault class, many independent trials with randomised
 //! fault instants. Every trial runs the audited register workload, injects

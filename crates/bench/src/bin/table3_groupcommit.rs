@@ -1,4 +1,4 @@
-//! Table 3 [reconstructed]: the group-commit interaction.
+//! Table 3 \[reconstructed\]: the group-commit interaction.
 //!
 //! PostgreSQL's `commit_delay` trades commit latency for batching. The
 //! paper notes RapiLog makes such tuning unnecessary: this sweep shows the

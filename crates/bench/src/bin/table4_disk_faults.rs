@@ -1,4 +1,4 @@
-//! Table 4 [new]: throughput and durability under media faults.
+//! Table 4 \[new\]: throughput and durability under media faults.
 //!
 //! Each row runs the audited register workload against one machine
 //! configuration while the log disk misbehaves, and reports the commit

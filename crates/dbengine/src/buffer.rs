@@ -275,13 +275,16 @@ impl BufferPool {
         tolerate_corrupt: bool,
     ) -> DbResult<FrameRef> {
         self.make_room().await?;
-        let token = self.inner.dev.submit(IoReq::Read {
-            sector: pid.0 * PAGE_SECTORS,
-            sectors: PAGE_SECTORS,
-        });
-        let data = self.inner.dev.wait(token).await?;
-        let data = data.expect("read completion must carry data");
-        let page = match Page::load(data.as_slice()) {
+        let data = self
+            .inner
+            .dev
+            .io(IoReq::Read {
+                sector: pid.0 * PAGE_SECTORS,
+                sectors: PAGE_SECTORS,
+            })
+            .await?;
+        let data = data.expect("read completion carries data");
+        let page = match Page::load(&data) {
             PageLoad::Valid(p) => p,
             PageLoad::Fresh => Page::new(table, slot_size),
             PageLoad::Corrupt if tolerate_corrupt => Page::new(table, slot_size),
@@ -376,12 +379,14 @@ impl BufferPool {
         };
         // WAL-before-data: the log must cover the page's changes first.
         self.inner.wal.flush_to(lsn).await?;
-        let token = self.inner.dev.submit(IoReq::Write {
-            sector: pid.0 * PAGE_SECTORS,
-            segments: vec![SectorBuf::from_vec(bytes)],
-            fua: false,
-        });
-        self.inner.dev.wait(token).await?;
+        self.inner
+            .dev
+            .io(IoReq::Write {
+                sector: pid.0 * PAGE_SECTORS,
+                data: SectorBuf::from_vec(bytes),
+                fua: false,
+            })
+            .await?;
         let restamped_image = {
             let mut f = frame.borrow_mut();
             if f.page.lsn() == lsn {
@@ -428,8 +433,7 @@ impl BufferPool {
     /// Device cache barrier: every previously acknowledged cached write is
     /// on stable media once this returns.
     pub async fn barrier(&self) -> DbResult<()> {
-        let token = self.inner.dev.submit(IoReq::Flush);
-        self.inner.dev.wait(token).await?;
+        self.inner.dev.io(IoReq::Flush).await?;
         Ok(())
     }
 
@@ -446,8 +450,7 @@ impl BufferPool {
             let Some((pid, frame)) = next else { break };
             self.write_frame(pid, &frame).await?;
         }
-        let token = self.inner.dev.submit(IoReq::Flush);
-        self.inner.dev.wait(token).await?;
+        self.inner.dev.io(IoReq::Flush).await?;
         Ok(())
     }
 
@@ -752,7 +755,7 @@ mod tests {
         let done = Rc::new(StdCell::new(false));
         let d2 = Rc::clone(&done);
         sim.spawn(async move {
-            let big = || vec![SectorBuf::from_vec(vec![7u8; 64 * 512])];
+            let big = || SectorBuf::from_vec(vec![7u8; 64 * 512]);
             let p = PageId(3);
             // Pinning the other frame makes `p` the victim.
             let _pinned = pool.fetch(PageId(9), TableId(1), 64, false).await;
@@ -763,9 +766,7 @@ mod tests {
             wal.wait_durable(wal.end()).await.unwrap();
             // How long a big write holds a channel.
             let t = ctx.now();
-            data.write(20_000, big()[0].as_slice(), false)
-                .await
-                .unwrap();
+            data.write(20_000, big().as_slice(), false).await.unwrap();
             let hold = ctx.now() - t;
             // The checkpoint's timer is armed before the channels' timers,
             // so at the instant they fire it runs first.
@@ -780,7 +781,7 @@ mod tests {
                 .map(|i| {
                     data.submit(IoReq::Write {
                         sector: 30_000 + i * 64,
-                        segments: big(),
+                        data: big(),
                         fua: false,
                     })
                 })

@@ -272,12 +272,13 @@ impl Database {
                 last
             )));
         }
-        let token = data_dev.submit(IoReq::Write {
-            sector: 0,
-            segments: vec![SectorBuf::from_vec(encode_catalog(&tables))],
-            fua: true,
-        });
-        data_dev.wait(token).await?;
+        data_dev
+            .io(IoReq::Write {
+                sector: 0,
+                data: SectorBuf::from_vec(encode_catalog(&tables)),
+                fua: true,
+            })
+            .await?;
         Superblock {
             checkpoint: Lsn::ZERO,
             recovery_start: Lsn::ZERO,
@@ -349,13 +350,13 @@ impl Database {
 
     /// Reads the catalog page from a data device.
     pub(crate) async fn read_catalog(data_dev: &dyn BlockDevice) -> DbResult<Vec<TableMeta>> {
-        let token = data_dev.submit(IoReq::Read {
-            sector: 0,
-            sectors: (PAGE_SIZE / rapilog_simdisk::SECTOR_SIZE) as u64,
-        });
-        let data = data_dev.wait(token).await?;
-        let data = data.expect("read completion must carry data");
-        decode_catalog(data.as_slice())
+        let data = data_dev
+            .io(IoReq::Read {
+                sector: 0,
+                sectors: (PAGE_SIZE / rapilog_simdisk::SECTOR_SIZE) as u64,
+            })
+            .await?;
+        decode_catalog(&data.expect("read completion carries data"))
     }
 
     /// Starts the periodic checkpointer and the buffer pool's victim

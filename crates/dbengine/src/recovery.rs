@@ -218,7 +218,8 @@ impl Database {
             RecoveryMode::Parallel => (log_dev.geometry().queue_depth as usize).max(1),
         };
         const CHUNK: usize = 256 * 1024;
-        let mut reader = StreamReader::new(&*log_dev, region_sectors, sb.checkpoint, CHUNK, window);
+        let mut reader =
+            StreamReader::new(ctx, &log_dev, region_sectors, sb.checkpoint, CHUNK, window);
         let mut records: Vec<(Lsn, Record)> = Vec::new();
         let mut buf: Vec<u8> = Vec::new();
         let mut off = 0usize;
@@ -312,7 +313,8 @@ impl Database {
         let tail_start = log_end.0 / SECTOR_SIZE as u64 * SECTOR_SIZE as u64;
         if tail_start < log_end.0 {
             let tail = read_stream(
-                &*log_dev,
+                ctx,
+                &log_dev,
                 region_sectors,
                 Lsn(tail_start),
                 (log_end.0 - tail_start) as usize,

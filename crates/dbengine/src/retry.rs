@@ -16,18 +16,14 @@ use std::rc::Rc;
 
 use rapilog_simcore::bytes::SectorBuf;
 use rapilog_simcore::{SimCtx, SimDuration};
-use rapilog_simdisk::{
-    BlockDevice, Completion, Geometry, IoError, IoQueue, IoReq, IoResult, LocalBoxFuture, ReqToken,
-};
+use rapilog_simdisk::{BlockDevice, Geometry, IoError, IoReq, IoResult, LocalBoxFuture};
 
 /// A [`BlockDevice`] adapter that retries transient failures.
-#[derive(Clone)]
 pub struct RetryingDevice {
     ctx: SimCtx,
     inner: Rc<dyn BlockDevice>,
     retries: u32,
     delay: SimDuration,
-    queue: Rc<IoQueue>,
 }
 
 impl RetryingDevice {
@@ -44,7 +40,6 @@ impl RetryingDevice {
             inner,
             retries,
             delay,
-            queue: Rc::new(IoQueue::new()),
         }
     }
 
@@ -69,107 +64,13 @@ impl BlockDevice for RetryingDevice {
         self.inner.geometry()
     }
 
-    fn submit(&self, req: IoReq) -> ReqToken {
-        let token = self.queue.issue();
-        let this = self.clone();
-        self.ctx.spawn(async move {
-            let mut attempt = 0u32;
-            let (result, data) = loop {
-                // Segment clones are O(1) refcount bumps: retries never
-                // re-copy the payload.
-                let inner_token = this.inner.submit(req.clone());
-                match this.inner.wait(inner_token).await {
-                    Err(IoError::Transient) if attempt < this.retries => {
-                        attempt += 1;
-                        if !this.delay.is_zero() {
-                            this.ctx.sleep(this.delay).await;
-                        }
-                    }
-                    Ok(data) => break (Ok(()), data),
-                    Err(e) => break (Err(e), None),
-                }
-            };
-            this.queue.finish(token, result, data);
-        });
-        token
-    }
-
-    fn completions(&self) -> LocalBoxFuture<'_, Vec<Completion>> {
-        Box::pin(self.queue.completions())
-    }
-
-    fn wait(&self, token: ReqToken) -> LocalBoxFuture<'_, IoResult<Option<SectorBuf>>> {
-        Box::pin(self.queue.wait(token))
-    }
-
-    fn read<'a>(&'a self, sector: u64, buf: &'a mut [u8]) -> LocalBoxFuture<'a, IoResult<()>> {
+    fn io(&self, req: IoReq) -> LocalBoxFuture<'_, IoResult<Option<SectorBuf>>> {
         Box::pin(async move {
             let mut attempt = 0u32;
             loop {
-                match self.inner.read(sector, buf).await {
-                    Err(IoError::Transient) if attempt < self.retries => {
-                        attempt += 1;
-                        if !self.delay.is_zero() {
-                            self.ctx.sleep(self.delay).await;
-                        }
-                    }
-                    other => return other,
-                }
-            }
-        })
-    }
-
-    fn write<'a>(
-        &'a self,
-        sector: u64,
-        data: &'a [u8],
-        fua: bool,
-    ) -> LocalBoxFuture<'a, IoResult<()>> {
-        Box::pin(async move {
-            let mut attempt = 0u32;
-            loop {
-                match self.inner.write(sector, data, fua).await {
-                    Err(IoError::Transient) if attempt < self.retries => {
-                        attempt += 1;
-                        if !self.delay.is_zero() {
-                            self.ctx.sleep(self.delay).await;
-                        }
-                    }
-                    other => return other,
-                }
-            }
-        })
-    }
-
-    fn write_buf(
-        &self,
-        sector: u64,
-        data: SectorBuf,
-        fua: bool,
-    ) -> LocalBoxFuture<'_, IoResult<()>> {
-        Box::pin(async move {
-            let mut attempt = 0u32;
-            loop {
-                // The clone is an O(1) refcount bump, so retries do not
-                // re-copy the payload.
-                match self.inner.write_buf(sector, data.clone(), fua).await {
-                    Err(IoError::Transient) if attempt < self.retries => {
-                        attempt += 1;
-                        if !self.delay.is_zero() {
-                            self.ctx.sleep(self.delay).await;
-                        }
-                    }
-                    other => return other,
-                }
-            }
-        })
-    }
-
-    fn flush(&self) -> LocalBoxFuture<'_, IoResult<()>> {
-        Box::pin(async move {
-            let mut attempt = 0u32;
-            loop {
-                match self.inner.flush().await {
+                // A write's payload clone is an O(1) refcount bump, so
+                // retries never re-copy it.
+                match self.inner.io(req.clone()).await {
                     Err(IoError::Transient) if attempt < self.retries => {
                         attempt += 1;
                         if !self.delay.is_zero() {
@@ -187,7 +88,7 @@ impl BlockDevice for RetryingDevice {
 mod tests {
     use super::*;
     use rapilog_simcore::{Sim, SimTime};
-    use rapilog_simdisk::{specs, Disk, SECTOR_SIZE};
+    use rapilog_simdisk::{specs, BlockDeviceExt, Disk, SECTOR_SIZE};
     use std::cell::Cell;
 
     #[test]
@@ -238,45 +139,6 @@ mod tests {
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(seen.get(), Some(Err(IoError::Transient)));
         assert_eq!(disk.stats().transient_errors, 3, "1 try + 2 retries");
-    }
-
-    #[test]
-    fn queued_submissions_are_retried_too() {
-        let mut sim = Sim::new(0);
-        let ctx = sim.ctx();
-        let disk = Disk::new(&ctx, specs::instant(1 << 20));
-        let dev = RetryingDevice::new(&ctx, Rc::new(disk.clone()), 8, SimDuration::from_millis(2));
-        let ok = Rc::new(Cell::new(false));
-        let o2 = Rc::clone(&ok);
-        let d2 = disk.clone();
-        let c2 = ctx.clone();
-        sim.spawn(async move {
-            d2.set_sick(true);
-            c2.spawn({
-                let d3 = d2.clone();
-                let c3 = c2.clone();
-                async move {
-                    c3.sleep(SimDuration::from_millis(5)).await;
-                    d3.set_sick(false);
-                }
-            });
-            let t = dev.submit(IoReq::Write {
-                sector: 3,
-                segments: vec![SectorBuf::copy_from(&[0xEE; SECTOR_SIZE])],
-                fua: true,
-            });
-            assert_eq!(BlockDevice::wait(&dev, t).await, Ok(None));
-            let r = dev.submit(IoReq::Read {
-                sector: 3,
-                sectors: 1,
-            });
-            let data = BlockDevice::wait(&dev, r).await.unwrap().unwrap();
-            assert_eq!(data.as_slice(), &[0xEE; SECTOR_SIZE]);
-            o2.set(true);
-        });
-        sim.run_until(SimTime::from_secs(1));
-        assert!(ok.get());
-        assert!(disk.stats().transient_errors > 0, "faults were retried");
     }
 
     #[test]

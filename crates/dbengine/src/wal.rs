@@ -31,8 +31,8 @@ use std::rc::Rc;
 use rapilog_simcore::bytes::{SectorBuf, SectorPool};
 use rapilog_simcore::sync::Notify;
 use rapilog_simcore::trace::{Layer, Payload, Tracer};
-use rapilog_simcore::{SimCtx, SimDuration};
-use rapilog_simdisk::{BlockDevice, IoReq, IoResult, ReqToken, SECTOR_SIZE};
+use rapilog_simcore::{JoinHandle, SimCtx, SimDuration};
+use rapilog_simdisk::{BlockDevice, IoReq, IoResult, SECTOR_SIZE};
 
 use crate::error::{DbError, DbResult};
 use crate::types::{Lsn, PageId, TableId, TxnId};
@@ -687,14 +687,22 @@ impl Wal {
     /// Reads `len` bytes of the stream starting at `from`, straight from
     /// the device (used by recovery and the auditors).
     pub async fn read_stream(&self, from: Lsn, len: usize) -> IoResult<Vec<u8>> {
-        read_stream(&*self.inner.dev, self.inner.region_sectors, from, len).await
+        read_stream(
+            &self.inner.ctx,
+            &self.inner.dev,
+            self.inner.region_sectors,
+            from,
+            len,
+        )
+        .await
     }
 }
 
 /// Reads stream bytes from a log device without a `Wal` instance (recovery
 /// opens the device before constructing the manager).
 pub async fn read_stream(
-    dev: &dyn BlockDevice,
+    ctx: &SimCtx,
+    dev: &Rc<dyn BlockDevice>,
     region_sectors: u64,
     from: Lsn,
     len: usize,
@@ -703,9 +711,9 @@ pub async fn read_stream(
     let offset = (from.0 % SECTOR_SIZE as u64) as usize;
     let total_sectors = (offset + len).div_ceil(SECTOR_SIZE) as u64;
     let mut out = Vec::with_capacity((total_sectors as usize) * SECTOR_SIZE);
-    // Submit every contiguous device run up front (the circular mapping may
-    // wrap), then claim the completions in stream order.
-    let mut tokens: Vec<ReqToken> = Vec::with_capacity(2);
+    // Start every contiguous device run up front (the circular mapping may
+    // wrap), then collect the reads in stream order.
+    let mut reads = Vec::with_capacity(2);
     let mut done = 0u64;
     while done < total_sectors {
         let stream_sector = first_sector_stream + done;
@@ -713,19 +721,13 @@ pub async fn read_stream(
         // Contiguous until the region end.
         let until_wrap = region_sectors - stream_sector % region_sectors;
         let n = (total_sectors - done).min(until_wrap);
-        tokens.push(dev.submit(IoReq::Read {
-            sector: dev_sector,
-            sectors: n,
-        }));
+        reads.push(spawn_read(ctx, dev, dev_sector, n));
         done += n;
     }
     let mut err = None;
-    for token in tokens {
-        match dev.wait(token).await {
-            Ok(data) if err.is_none() => {
-                let data = data.expect("read completion must carry data");
-                out.extend_from_slice(data.as_slice());
-            }
+    for read in reads {
+        match finish_read(read).await {
+            Ok(data) if err.is_none() => out.extend_from_slice(&data),
             Ok(_) => {}
             Err(e) if err.is_none() => err = Some(e),
             Err(_) => {}
@@ -739,13 +741,31 @@ pub async fn read_stream(
     Ok(out)
 }
 
+/// A log read running as its own task, so several can be in flight.
+type PendingRead = JoinHandle<IoResult<SectorBuf>>;
+
+/// Starts reading `sectors` sectors at `sector` as a root-domain task.
+fn spawn_read(ctx: &SimCtx, dev: &Rc<dyn BlockDevice>, sector: u64, sectors: u64) -> PendingRead {
+    let dev = Rc::clone(dev);
+    ctx.spawn(async move {
+        let data = dev.io(IoReq::Read { sector, sectors }).await?;
+        Ok(data.expect("read completion carries data"))
+    })
+}
+
+/// Waits for a read started by [`spawn_read`].
+async fn finish_read(read: PendingRead) -> IoResult<SectorBuf> {
+    read.await.expect("root-domain tasks are never killed")
+}
+
 /// Windowed log-stream reader used by recovery's scan phase: keeps up to
-/// `window` chunk reads in flight through the queued device API, so CRC
-/// validation and frame decode of one chunk overlap the media latency of
-/// the next. `window = 1` degenerates to the serial read-one-decode-one
-/// loop; `window = Geometry::queue_depth` fills every device channel.
-pub struct StreamReader<'a> {
-    dev: &'a dyn BlockDevice,
+/// `window` chunk reads in flight, each its own task, so CRC validation
+/// and frame decode of one chunk overlap the media latency of the next.
+/// `window = 1` degenerates to the serial read-one-decode-one loop;
+/// `window = Geometry::queue_depth` fills every device channel.
+pub struct StreamReader {
+    ctx: SimCtx,
+    dev: Rc<dyn BlockDevice>,
     region_sectors: u64,
     /// Next stream sector a read will be submitted for.
     next_stream_sector: u64,
@@ -755,17 +775,18 @@ pub struct StreamReader<'a> {
     /// may start mid-sector).
     skip: usize,
     /// In-flight chunks, oldest first; a chunk split by the circular wrap
-    /// carries one token per contiguous device run.
-    inflight: VecDeque<Vec<ReqToken>>,
+    /// carries one read per contiguous device run.
+    inflight: VecDeque<Vec<PendingRead>>,
     chunk_sectors: u64,
     window: usize,
 }
 
-impl<'a> StreamReader<'a> {
+impl StreamReader {
     /// Starts a reader at stream position `from`, covering at most one full
     /// circle of the `region_sectors`-sector circular log region.
     pub fn new(
-        dev: &'a dyn BlockDevice,
+        ctx: &SimCtx,
+        dev: &Rc<dyn BlockDevice>,
         region_sectors: u64,
         from: Lsn,
         chunk_bytes: usize,
@@ -774,7 +795,8 @@ impl<'a> StreamReader<'a> {
         assert!(window >= 1, "stream reader window must be at least 1");
         assert!(chunk_bytes >= SECTOR_SIZE, "chunk must cover a sector");
         StreamReader {
-            dev,
+            ctx: ctx.clone(),
+            dev: Rc::clone(dev),
             region_sectors,
             next_stream_sector: from.0 / SECTOR_SIZE as u64,
             unsubmitted: region_sectors,
@@ -789,18 +811,15 @@ impl<'a> StreamReader<'a> {
         while self.inflight.len() < self.window && self.unsubmitted > 0 {
             let mut n = self.chunk_sectors.min(self.unsubmitted);
             self.unsubmitted -= n;
-            let mut tokens = Vec::with_capacity(2);
+            let mut reads = Vec::with_capacity(2);
             while n > 0 {
                 let at = self.next_stream_sector % self.region_sectors;
                 let run = n.min(self.region_sectors - at);
-                tokens.push(self.dev.submit(IoReq::Read {
-                    sector: LOG_BASE_SECTOR + at,
-                    sectors: run,
-                }));
+                reads.push(spawn_read(&self.ctx, &self.dev, LOG_BASE_SECTOR + at, run));
                 self.next_stream_sector += run;
                 n -= run;
             }
-            self.inflight.push_back(tokens);
+            self.inflight.push_back(reads);
         }
     }
 
@@ -809,17 +828,16 @@ impl<'a> StreamReader<'a> {
     /// region circle has been consumed.
     pub async fn fill(&mut self, out: &mut Vec<u8>) -> IoResult<usize> {
         self.top_up();
-        let Some(tokens) = self.inflight.pop_front() else {
+        let Some(reads) = self.inflight.pop_front() else {
             return Ok(0);
         };
         let before = out.len();
         let mut err = None;
-        for token in tokens {
-            match self.dev.wait(token).await {
+        for read in reads {
+            match finish_read(read).await {
                 Ok(data) if err.is_none() => {
-                    let data = data.expect("read completion must carry data");
                     let skip = std::mem::take(&mut self.skip);
-                    out.extend_from_slice(&data.as_slice()[skip..]);
+                    out.extend_from_slice(&data[skip..]);
                 }
                 Ok(_) => {}
                 Err(e) if err.is_none() => err = Some(e),
@@ -835,15 +853,16 @@ impl<'a> StreamReader<'a> {
         }
     }
 
-    /// Claims every in-flight completion, discarding the results. Must be
+    /// Waits out every in-flight read, discarding the results. Must be
     /// called before dropping the reader mid-stream (e.g. once the torn
-    /// tail is found): tokens are claimed exactly once, and the readahead
-    /// window usually runs past the point the scan stops at.
+    /// tail is found): the readahead window usually runs past the point
+    /// the scan stops at, and dropping a read's handle does not cancel it —
+    /// the device would still be serving it behind the caller's back.
     pub async fn abandon(&mut self) {
         self.unsubmitted = 0;
-        for tokens in std::mem::take(&mut self.inflight) {
-            for token in tokens {
-                let _ = self.dev.wait(token).await;
+        for reads in std::mem::take(&mut self.inflight) {
+            for read in reads {
+                let _ = finish_read(read).await;
             }
         }
     }
@@ -893,23 +912,25 @@ impl Superblock {
 
     /// Writes the superblock durably (FUA).
     pub async fn write(&self, dev: &dyn BlockDevice) -> IoResult<()> {
-        let token = dev.submit(IoReq::Write {
+        dev.io(IoReq::Write {
             sector: 0,
-            segments: vec![SectorBuf::from_vec(self.encode())],
+            data: SectorBuf::from_vec(self.encode()),
             fua: true,
-        });
-        dev.wait(token).await.map(|_| ())
+        })
+        .await
+        .map(drop)
     }
 
     /// Reads and parses the superblock.
     pub async fn read(dev: &dyn BlockDevice) -> IoResult<Option<Superblock>> {
-        let token = dev.submit(IoReq::Read {
-            sector: 0,
-            sectors: 1,
-        });
-        let data = dev.wait(token).await?;
-        let data = data.expect("read completion must carry data");
-        Ok(Superblock::decode(data.as_slice()))
+        let data = dev
+            .io(IoReq::Read {
+                sector: 0,
+                sectors: 1,
+            })
+            .await?;
+        let data = data.expect("read completion carries data");
+        Ok(Superblock::decode(&data))
     }
 }
 
@@ -957,7 +978,7 @@ async fn flusher_loop(inner: Rc<WalInner>) {
             );
             // Write, splitting at the circular-region wrap. Each split is
             // an O(1) view of the pooled batch, handed down the zero-copy
-            // `write_buf` path.
+            // owned-buffer write path.
             let region_bytes = inner.region_sectors * SECTOR_SIZE as u64;
             let mut ok = true;
             let mut off = 0usize;
@@ -968,7 +989,11 @@ async fn flusher_loop(inner: Rc<WalInner>) {
                 let n = (data.len() - off).min(until_wrap);
                 if inner
                     .dev
-                    .write_buf(dev_sector, data.slice(off..off + n), true)
+                    .io(IoReq::Write {
+                        sector: dev_sector,
+                        data: data.slice(off..off + n),
+                        fua: true,
+                    })
                     .await
                     .is_err()
                 {

@@ -33,7 +33,7 @@ use rapilog_microvisor::{Hypervisor, Trust};
 use rapilog_simcore::stats::Histogram;
 use rapilog_simcore::trace::{Layer, Payload};
 use rapilog_simcore::{Sim, SimDuration, SimTime};
-use rapilog_simdisk::{specs, BlockDevice, Disk, SECTOR_SIZE};
+use rapilog_simdisk::{specs, BlockDeviceExt, Disk, SECTOR_SIZE};
 use rapilog_simnet::{Link, LinkFaults, LinkSpec};
 use rapilog_simpower::{supplies, PowerSupply};
 

@@ -22,7 +22,7 @@ use rapilog_dbengine::recovery::RecoveryReport;
 use rapilog_simcore::stats::Histogram;
 use rapilog_simcore::trace::{LatencyAttribution, Layer, Payload, TraceSnapshot};
 use rapilog_simcore::{RunReport, SchedulerKind, Sim, SimDuration, SimTime};
-use rapilog_simdisk::{BlockDevice, SECTOR_SIZE};
+use rapilog_simdisk::{BlockDeviceExt, SECTOR_SIZE};
 use rapilog_workload::micro;
 use rapilog_workload::session::{job, outcome_from, JobOutcome};
 
@@ -153,7 +153,7 @@ pub struct ClientJournal {
 
 /// One co-tenant writer's acknowledgement journal (multi-tenant trials).
 ///
-/// The writer cycles through [`TENANT_SLOT_COUNT`] private log-disk sectors,
+/// The writer cycles through `TENANT_SLOT_COUNT` private log-disk sectors,
 /// stamping each write with a monotonic sequence and the tenant's tag. The
 /// journal records, per slot, the highest acknowledged and highest attempted
 /// sequence — the media audit after recovery checks every slot against it.

@@ -21,9 +21,7 @@ use std::rc::Rc;
 use rapilog_simcore::bytes::SectorBuf;
 use rapilog_simcore::chan::{self, OnceSender, Sender};
 use rapilog_simcore::{SimCtx, SimDuration};
-use rapilog_simdisk::{
-    BlockDevice, Completion, Geometry, IoError, IoQueue, IoReq, IoResult, LocalBoxFuture, ReqToken,
-};
+use rapilog_simdisk::{BlockDevice, Geometry, IoReq, IoResult, LocalBoxFuture};
 
 use crate::cell::Cell;
 
@@ -76,29 +74,16 @@ pub struct VirtioStats {
     pub bytes_in: u64,
 }
 
-enum BlkReq {
-    Read {
-        sector: u64,
-        sectors: usize,
-    },
-    Write {
-        sector: u64,
-        /// Owned view of the guest's bytes: carried through the ring
-        /// without copying (the simulated analogue of the descriptor
-        /// pointing into guest memory).
-        data: SectorBuf,
-        fua: bool,
-    },
-    Flush,
-}
-
 struct Request {
-    req: BlkReq,
-    reply: OnceSender<IoResult<Vec<u8>>>,
+    /// Carried through the ring without copying: a write's [`SectorBuf`]
+    /// is the simulated analogue of a descriptor pointing into guest
+    /// memory, and a read's reply hands the backend's buffer straight back.
+    req: IoReq,
+    reply: OnceSender<IoResult<Option<SectorBuf>>>,
 }
 
 /// Guest-side virtual block device forwarding to a backend through a
-/// driver cell. Cloneable; clones share the queue.
+/// driver cell. Cloneable; clones share the ring.
 #[derive(Clone)]
 pub struct VirtioBlk {
     ctx: SimCtx,
@@ -106,7 +91,6 @@ pub struct VirtioBlk {
     geometry: Geometry,
     costs: VirtCosts,
     stats: Rc<RefCell<VirtioStats>>,
-    queue: Rc<IoQueue>,
 }
 
 impl VirtioBlk {
@@ -134,18 +118,7 @@ impl VirtioBlk {
                 let hv_cost = costs.backend;
                 cell_domain_spawner.spawn_in(domain, async move {
                     ctx2.sleep(hv_cost).await;
-                    let result = match req {
-                        BlkReq::Read { sector, sectors } => {
-                            let mut buf = vec![0u8; sectors * backend.geometry().sector_size];
-                            backend.read(sector, &mut buf).await.map(|()| buf)
-                        }
-                        BlkReq::Write { sector, data, fua } => backend
-                            .write_buf(sector, data, fua)
-                            .await
-                            .map(|()| Vec::new()),
-                        BlkReq::Flush => backend.flush().await.map(|()| Vec::new()),
-                    };
-                    reply.send(result);
+                    reply.send(backend.io(req).await);
                 });
             }
         });
@@ -155,7 +128,6 @@ impl VirtioBlk {
             geometry,
             costs,
             stats: Rc::new(RefCell::new(VirtioStats::default())),
-            queue: Rc::new(IoQueue::new()),
         }
     }
 
@@ -164,7 +136,7 @@ impl VirtioBlk {
         *self.stats.borrow()
     }
 
-    async fn transact(&self, req: BlkReq) -> IoResult<Vec<u8>> {
+    async fn transact(&self, req: IoReq) -> IoResult<Option<SectorBuf>> {
         self.ctx.sleep(self.costs.trap).await;
         let (rtx, rrx) = chan::oneshot();
         self.tx
@@ -185,140 +157,25 @@ impl BlockDevice for VirtioBlk {
         self.geometry
     }
 
-    fn submit(&self, req: IoReq) -> ReqToken {
-        let token = self.queue.issue();
-        let this = self.clone();
-        self.ctx.spawn(async move {
-            let (result, data) = match req {
-                IoReq::Read { sector, sectors } => {
-                    let len = sectors as usize * this.geometry.sector_size;
-                    if len == 0 {
-                        (Err(IoError::Misaligned { len: 0 }), None)
-                    } else {
-                        {
-                            let mut s = this.stats.borrow_mut();
-                            s.requests += 1;
-                            s.bytes_in += len as u64;
-                        }
-                        match this
-                            .transact(BlkReq::Read {
-                                sector,
-                                sectors: sectors as usize,
-                            })
-                            .await
-                        {
-                            Ok(buf) => (Ok(()), Some(SectorBuf::from_vec(buf))),
-                            Err(e) => (Err(e), None),
-                        }
-                    }
-                }
-                IoReq::Write {
-                    sector,
-                    segments,
-                    fua,
-                } => {
-                    // The ring descriptor carries one owned buffer; a
-                    // single segment rides zero-copy, a scatter list is
-                    // flattened here.
-                    let data = if segments.len() == 1 {
-                        segments.into_iter().next().expect("len checked")
-                    } else {
-                        let mut flat = Vec::new();
-                        for seg in &segments {
-                            flat.extend_from_slice(seg.as_slice());
-                        }
-                        SectorBuf::from_vec(flat)
-                    };
-                    if data.is_empty() || !data.len().is_multiple_of(this.geometry.sector_size) {
-                        (Err(IoError::Misaligned { len: data.len() }), None)
-                    } else {
-                        {
-                            let mut s = this.stats.borrow_mut();
-                            s.requests += 1;
-                            s.bytes_out += data.len() as u64;
-                        }
-                        (
-                            this.transact(BlkReq::Write { sector, data, fua })
-                                .await
-                                .map(|_| ()),
-                            None,
-                        )
-                    }
-                }
-                IoReq::Flush => {
-                    this.stats.borrow_mut().requests += 1;
-                    (this.transact(BlkReq::Flush).await.map(|_| ()), None)
-                }
-            };
-            this.queue.finish(token, result, data);
-        });
-        token
-    }
-
-    fn completions(&self) -> LocalBoxFuture<'_, Vec<Completion>> {
-        Box::pin(self.queue.completions())
-    }
-
-    fn wait(&self, token: ReqToken) -> LocalBoxFuture<'_, IoResult<Option<SectorBuf>>> {
-        Box::pin(self.queue.wait(token))
-    }
-
-    fn read<'a>(&'a self, sector: u64, buf: &'a mut [u8]) -> LocalBoxFuture<'a, IoResult<()>> {
+    fn io(&self, req: IoReq) -> LocalBoxFuture<'_, IoResult<Option<SectorBuf>>> {
         Box::pin(async move {
-            if buf.is_empty() || !buf.len().is_multiple_of(self.geometry.sector_size) {
-                return Err(IoError::Misaligned { len: buf.len() });
-            }
+            // Malformed requests (misaligned, empty or past the end) are
+            // refused here and never cross into the driver cell.
             {
                 let mut s = self.stats.borrow_mut();
+                match &req {
+                    IoReq::Read { sector, sectors } => {
+                        s.bytes_in += self.geometry.read_len(*sector, *sectors)? as u64;
+                    }
+                    IoReq::Write { sector, data, .. } => {
+                        self.geometry.check_access(*sector, data.len())?;
+                        s.bytes_out += data.len() as u64;
+                    }
+                    IoReq::Flush => {}
+                }
                 s.requests += 1;
-                s.bytes_in += buf.len() as u64;
             }
-            let sectors = buf.len() / self.geometry.sector_size;
-            let data = self.transact(BlkReq::Read { sector, sectors }).await?;
-            buf.copy_from_slice(&data);
-            Ok(())
-        })
-    }
-
-    fn write<'a>(
-        &'a self,
-        sector: u64,
-        data: &'a [u8],
-        fua: bool,
-    ) -> LocalBoxFuture<'a, IoResult<()>> {
-        // Borrowed-slice entry point: one copy into an owned buffer here,
-        // then the zero-copy path below.
-        Box::pin(async move {
-            self.write_buf(sector, SectorBuf::copy_from(data), fua)
-                .await
-        })
-    }
-
-    fn write_buf(
-        &self,
-        sector: u64,
-        data: SectorBuf,
-        fua: bool,
-    ) -> LocalBoxFuture<'_, IoResult<()>> {
-        Box::pin(async move {
-            if data.is_empty() || !data.len().is_multiple_of(self.geometry.sector_size) {
-                return Err(IoError::Misaligned { len: data.len() });
-            }
-            {
-                let mut s = self.stats.borrow_mut();
-                s.requests += 1;
-                s.bytes_out += data.len() as u64;
-            }
-            self.transact(BlkReq::Write { sector, data, fua }).await?;
-            Ok(())
-        })
-    }
-
-    fn flush(&self) -> LocalBoxFuture<'_, IoResult<()>> {
-        Box::pin(async move {
-            self.stats.borrow_mut().requests += 1;
-            self.transact(BlkReq::Flush).await?;
-            Ok(())
+            self.transact(req).await
         })
     }
 }
@@ -328,7 +185,7 @@ mod tests {
     use super::*;
     use crate::cell::{Hypervisor, Trust};
     use rapilog_simcore::{Sim, SimTime};
-    use rapilog_simdisk::{specs, Disk, SECTOR_SIZE};
+    use rapilog_simdisk::{specs, BlockDeviceExt, Disk, IoError, SECTOR_SIZE};
     use std::cell::Cell as StdCell;
 
     fn setup(costs: VirtCosts) -> (Sim, VirtioBlk, Disk) {

@@ -21,7 +21,7 @@
 //! HDD as one sequential continuation instead of paying a rotation each.
 //!
 //! The drain loop has two bodies (see
-//! [`OrderingMode`](crate::OrderingMode)):
+//! [`OrderingMode`]):
 //!
 //! * **Strict on one shard** — one run on media at a time, in exact
 //!   sequence order: the paper's original serial drain, byte- and
@@ -48,7 +48,7 @@ use rapilog_simcore::stats::Histogram;
 use rapilog_simcore::sync::{Event, SemPermit, Semaphore};
 use rapilog_simcore::trace::{Layer, Payload};
 use rapilog_simcore::{SimCtx, SimDuration};
-use rapilog_simdisk::{BlockDevice, Disk, IoError, IoReq, IoRun, SECTOR_SIZE};
+use rapilog_simdisk::{BlockDevice, Disk, IoError, IoRun, SECTOR_SIZE};
 use rapilog_simpower::PowerSupply;
 
 use crate::audit::Audit;
@@ -315,8 +315,8 @@ enum RunFatal {
 /// signal): any writer's failure resets it, any writer's successes count
 /// toward the exit threshold.
 ///
-/// With `queued`, each attempt rides the queued device interface
-/// ([`BlockDevice::submit`] + [`BlockDevice::wait`]) so the device's
+/// With `queued`, each attempt rides the disk's submission queue
+/// ([`Disk::submit_segments`] + [`Disk::wait`]) so the device's
 /// outstanding-request accounting sees the drain window; without it, the
 /// legacy direct vectored write is used — byte- and trace-identical to the
 /// pre-window serial drain, which [`OrderingMode::Strict`] promises.
@@ -340,12 +340,8 @@ async fn write_run_resilient(
         // segments until they land on the media store; segment clones are
         // refcount bumps.
         let wrote = if queued {
-            let token = disk.submit(IoReq::Write {
-                sector: run.sector,
-                segments: run.segments.clone(),
-                fua: true,
-            });
-            BlockDevice::wait(disk, token).await.map(|_| ())
+            let token = disk.submit_segments(run.sector, run.segments.clone(), true);
+            disk.wait(token).await.map(drop)
         } else {
             disk.write_segments(run.sector, run.segments.clone(), true)
                 .await
@@ -1553,7 +1549,7 @@ mod resilience_tests {
     use crate::prelude::*;
     use rapilog_microvisor::{Hypervisor, Trust};
     use rapilog_simcore::{Sim, SimDuration, SimTime};
-    use rapilog_simdisk::{specs, BlockDevice, Disk, FaultProfile, SECTOR_SIZE};
+    use rapilog_simdisk::{specs, BlockDeviceExt, Disk, FaultProfile, SECTOR_SIZE};
     use std::cell::Cell as StdCell;
     use std::rc::Rc;
 
@@ -1853,7 +1849,7 @@ mod window_tests {
     use rapilog_simcore::rng::SimRng;
     use rapilog_simcore::trace::{Payload, Phase};
     use rapilog_simcore::{Sim, SimDuration, SimTime};
-    use rapilog_simdisk::{specs, BlockDevice, Disk, DiskSpec, SectorStore, SECTOR_SIZE};
+    use rapilog_simdisk::{specs, BlockDeviceExt, Disk, DiskSpec, SectorStore, SECTOR_SIZE};
     use std::cell::Cell as StdCell;
     use std::collections::VecDeque;
     use std::rc::Rc;

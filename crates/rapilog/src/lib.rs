@@ -17,8 +17,8 @@
 //! database fears:
 //!
 //! * **Guest/OS crash** — the buffer lives in a trusted cell outside the
-//!   guest; the drain continues unaffected ([`microvisor`] enforces the
-//!   isolation).
+//!   guest; the drain continues unaffected ([`rapilog_microvisor`] enforces
+//!   the isolation).
 //! * **Power cut** — the machine keeps running for the supply's residual
 //!   window ([`rapilog_simpower`]); the buffer is **admission-controlled**
 //!   to the size that provably drains within that window
@@ -38,7 +38,7 @@
 //! ```
 //! use rapilog::prelude::*;
 //! use rapilog_simcore::Sim;
-//! use rapilog_simdisk::{specs, BlockDevice, Disk};
+//! use rapilog_simdisk::{specs, BlockDeviceExt, Disk};
 //! use rapilog_microvisor::{Hypervisor, Trust};
 //!
 //! let mut sim = Sim::new(1);
@@ -541,7 +541,7 @@ impl<'a> RapiLogBuilder<'a> {
     }
 
     /// Ships every retired batch to a standby cell through `repl`; see
-    /// [`Replicator`](replicate::Replicator). The builder attaches the
+    /// [`Replicator`]. The builder attaches the
     /// shipper's send/ack loops to this instance's trusted cell; in
     /// [`Sync`](replicate::ReplicationMode::Sync) mode, guest
     /// acknowledgements additionally wait for the standby's ack.
@@ -849,7 +849,7 @@ mod builder_tests {
     use super::*;
     use rapilog_microvisor::{Hypervisor, Trust};
     use rapilog_simcore::Sim;
-    use rapilog_simdisk::{specs, BlockDevice};
+    use rapilog_simdisk::{specs, BlockDeviceExt};
     use rapilog_simpower::{PowerSupply, SupplySpec};
 
     fn fixture(seed: u64) -> (Sim, SimCtx, Hypervisor, Disk) {

@@ -709,7 +709,7 @@ mod tests {
     use crate::{CapacitySpec, RapiLog};
     use rapilog_microvisor::{Hypervisor, Trust};
     use rapilog_simcore::{Sim, SimTime};
-    use rapilog_simdisk::{specs, BlockDevice, SECTOR_SIZE};
+    use rapilog_simdisk::{specs, BlockDeviceExt, SECTOR_SIZE};
     use rapilog_simnet::{LinkFaults, LinkSpec};
     use std::cell::Cell as StdCell;
 

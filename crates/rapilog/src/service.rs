@@ -26,7 +26,7 @@ use rapilog_microvisor::cell::Cell;
 use rapilog_microvisor::ipc::{CapRights, Endpoint, EndpointCap};
 use rapilog_simcore::rng::SimRng;
 use rapilog_simcore::{SimCtx, SimDuration};
-use rapilog_simdisk::{BlockDevice, SECTOR_SIZE};
+use rapilog_simdisk::{BlockDeviceExt, SECTOR_SIZE};
 
 use crate::audit::Audit;
 use crate::drain::backoff_delay;

@@ -24,8 +24,7 @@ use rapilog_simcore::bytes::SectorBuf;
 use rapilog_simcore::trace::{Layer, Payload, Tracer};
 use rapilog_simcore::{SimCtx, SimDuration};
 use rapilog_simdisk::{
-    BlockDevice, Completion, Geometry, IoError, IoQueue, IoReq, IoResult, LocalBoxFuture, ReqToken,
-    SECTOR_SIZE,
+    BlockDevice, Geometry, IoError, IoReq, IoResult, LocalBoxFuture, SECTOR_SIZE,
 };
 
 use crate::audit::Audit;
@@ -51,7 +50,6 @@ pub struct RapiLogDevice {
     repl: Option<(u64, Replicator)>,
     geometry: Geometry,
     tracer: Rc<Tracer>,
-    queue: Rc<IoQueue>,
 }
 
 impl RapiLogDevice {
@@ -76,7 +74,6 @@ impl RapiLogDevice {
             repl,
             geometry,
             tracer: ctx.tracer(),
-            queue: Rc::new(IoQueue::new()),
         }
     }
 
@@ -101,7 +98,6 @@ impl RapiLogDevice {
             repl: None,
             geometry,
             tracer: ctx.tracer(),
-            queue: Rc::new(IoQueue::new()),
         }
     }
 
@@ -119,26 +115,12 @@ impl RapiLogDevice {
         self.cfg.ack_base + self.cfg.ack_per_kib * (bytes as u64).div_ceil(1024)
     }
 
-    fn check(&self, sector: u64, len: usize) -> IoResult<u64> {
-        if len == 0 || !len.is_multiple_of(SECTOR_SIZE) {
-            return Err(IoError::Misaligned { len });
-        }
-        let count = (len / SECTOR_SIZE) as u64;
-        if sector
-            .checked_add(count)
-            .is_none_or(|e| e > self.geometry.sectors)
-        {
-            return Err(IoError::OutOfRange { sector, count });
-        }
-        Ok(count)
-    }
-
-    /// The admission path shared by the borrowed-slice and owned-buffer
-    /// write entry points. `data` is *viewed* all the way into the buffer:
-    /// chunking for a small buffer is O(1) sub-slicing, and no byte is
-    /// copied between here and the media store.
+    /// The write path: admission into the buffer, or a synchronous write
+    /// to the backing disk in write-through mode. `data` is *viewed* all
+    /// the way into the buffer: chunking for a small buffer is O(1)
+    /// sub-slicing, and no byte is copied between here and the media store.
     async fn write_inner(&self, sector: u64, data: SectorBuf) -> IoResult<()> {
-        self.check(sector, data.len())?;
+        self.geometry.check_access(sector, data.len())?;
         let Some(buffer) = &self.buffer else {
             // Write-through: honest synchronous durability.
             let payload = Payload::Extent {
@@ -148,7 +130,15 @@ impl RapiLogDevice {
             };
             self.tracer
                 .begin(self.ctx.now(), Layer::Buffer, "write_through", payload);
-            let res = self.backing.write_buf(sector, data, true).await;
+            let res = self
+                .backing
+                .io(IoReq::Write {
+                    sector,
+                    data,
+                    fua: true,
+                })
+                .await
+                .map(drop);
             self.tracer
                 .end(self.ctx.now(), Layer::Buffer, "write_through", payload);
             return res;
@@ -253,6 +243,57 @@ impl RapiLogDevice {
         }
         Ok(())
     }
+
+    /// The read path: the newest acknowledged bytes, buffer overlay over
+    /// the backing disk.
+    async fn read_inner(&self, sector: u64, sectors: u64) -> IoResult<SectorBuf> {
+        let len = self.geometry.read_len(sector, sectors)?;
+        let req = IoReq::Read { sector, sectors };
+        let Some(buffer) = &self.buffer else {
+            let data = self.backing.io(req).await?;
+            return Ok(data.expect("read completion carries data"));
+        };
+        // Fast path: everything in the overlay (tail re-reads). The
+        // views are taken before the ack delay: the drain may land and
+        // release them meanwhile, and the media read was skipped.
+        let views: Option<Vec<SectorBuf>> = (0..sectors)
+            .map(|i| buffer.read_overlay(sector + i))
+            .collect();
+        if let Some(views) = views {
+            self.ctx.sleep(self.ack_cost(len)).await;
+            let mut buf = Vec::with_capacity(len);
+            for view in views {
+                buf.extend_from_slice(&view);
+            }
+            return Ok(SectorBuf::from_vec(buf));
+        }
+        let data = self.backing.io(req).await?;
+        let data = data.expect("read completion carries data");
+        // Overlay newer buffered sectors, copying the media bytes only if
+        // there are any.
+        let mut merged: Option<Vec<u8>> = None;
+        for i in 0..sectors {
+            if let Some(newer) = buffer.read_overlay(sector + i) {
+                let buf = merged.get_or_insert_with(|| data.to_vec());
+                let at = i as usize * SECTOR_SIZE;
+                buf[at..at + SECTOR_SIZE].copy_from_slice(&newer);
+            }
+        }
+        Ok(merged.map_or(data, SectorBuf::from_vec))
+    }
+
+    async fn flush_inner(&self) -> IoResult<()> {
+        let Some(buffer) = &self.buffer else {
+            return self.backing.io(IoReq::Flush).await.map(drop);
+        };
+        // Nothing to do: every acknowledged write is already
+        // dependable. This is the entire point.
+        if buffer.is_frozen() {
+            return Err(IoError::PowerLoss);
+        }
+        self.ctx.sleep(self.cfg.ack_base).await;
+        Ok(())
+    }
 }
 
 impl BlockDevice for RapiLogDevice {
@@ -260,114 +301,17 @@ impl BlockDevice for RapiLogDevice {
         self.geometry
     }
 
-    fn submit(&self, req: IoReq) -> ReqToken {
-        let token = self.queue.issue();
-        let this = self.clone();
-        self.ctx.spawn(async move {
-            let (result, data) = match req {
-                IoReq::Read { sector, sectors } => {
-                    let mut buf = vec![0u8; sectors as usize * SECTOR_SIZE];
-                    match this.read(sector, &mut buf).await {
-                        Ok(()) => (Ok(()), Some(SectorBuf::from_vec(buf))),
-                        Err(e) => (Err(e), None),
-                    }
-                }
-                IoReq::Write {
-                    sector,
-                    mut segments,
-                    ..
-                } => {
-                    // A single segment rides zero-copy into the admission
-                    // path; multiple segments are flattened once, exactly
-                    // as the slice entry point would copy them.
-                    let res = if segments.len() == 1 {
-                        this.write_inner(sector, segments.pop().unwrap()).await
-                    } else {
-                        let total: usize = segments.iter().map(|s| s.len()).sum();
-                        let mut flat = Vec::with_capacity(total);
-                        for seg in &segments {
-                            flat.extend_from_slice(seg.as_slice());
-                        }
-                        this.write_inner(sector, SectorBuf::from_vec(flat)).await
-                    };
-                    (res, None)
-                }
-                IoReq::Flush => (this.flush().await, None),
-            };
-            this.queue.finish(token, result, data);
-        });
-        token
-    }
-
-    fn completions(&self) -> LocalBoxFuture<'_, Vec<Completion>> {
-        Box::pin(self.queue.completions())
-    }
-
-    fn wait(&self, token: ReqToken) -> LocalBoxFuture<'_, IoResult<Option<SectorBuf>>> {
-        Box::pin(self.queue.wait(token))
-    }
-
-    fn read<'a>(&'a self, sector: u64, buf: &'a mut [u8]) -> LocalBoxFuture<'a, IoResult<()>> {
+    fn io(&self, req: IoReq) -> LocalBoxFuture<'_, IoResult<Option<SectorBuf>>> {
+        // The FUA flag needs no handling: every acknowledged write is
+        // dependable, which is the property FUA exists to provide.
         Box::pin(async move {
-            let count = self.check(sector, buf.len())?;
-            let Some(buffer) = &self.buffer else {
-                return self.backing.read(sector, buf).await;
-            };
-            // Fast path: everything in the overlay (tail re-reads). The
-            // views are taken before the ack delay: the drain may land and
-            // release them meanwhile, and the media read was skipped.
-            let views: Option<Vec<SectorBuf>> = (0..count)
-                .map(|i| buffer.read_overlay(sector + i))
-                .collect();
-            if let Some(views) = views {
-                self.ctx.sleep(self.ack_cost(buf.len())).await;
-                for (chunk, view) in buf.chunks_exact_mut(SECTOR_SIZE).zip(views) {
-                    chunk.copy_from_slice(&view);
+            match req {
+                IoReq::Read { sector, sectors } => self.read_inner(sector, sectors).await.map(Some),
+                IoReq::Write { sector, data, .. } => {
+                    self.write_inner(sector, data).await.map(|()| None)
                 }
-                return Ok(());
+                IoReq::Flush => self.flush_inner().await.map(|()| None),
             }
-            self.backing.read(sector, buf).await?;
-            for (i, chunk) in buf.chunks_exact_mut(SECTOR_SIZE).enumerate() {
-                if let Some(newer) = buffer.read_overlay(sector + i as u64) {
-                    chunk.copy_from_slice(&newer);
-                }
-            }
-            Ok(())
-        })
-    }
-
-    fn write<'a>(
-        &'a self,
-        sector: u64,
-        data: &'a [u8],
-        _fua: bool,
-    ) -> LocalBoxFuture<'a, IoResult<()>> {
-        // Borrowed-slice entry point: the one copy into an owned buffer
-        // happens here, at admission; everything downstream takes views.
-        Box::pin(async move { self.write_inner(sector, SectorBuf::copy_from(data)).await })
-    }
-
-    fn write_buf(
-        &self,
-        sector: u64,
-        data: SectorBuf,
-        _fua: bool,
-    ) -> LocalBoxFuture<'_, IoResult<()>> {
-        Box::pin(async move { self.write_inner(sector, data).await })
-    }
-
-    fn flush(&self) -> LocalBoxFuture<'_, IoResult<()>> {
-        Box::pin(async move {
-            let Some(buffer) = &self.buffer else {
-                return self.backing.flush().await;
-            };
-            // Nothing to do: every acknowledged write is already
-            // dependable. This is the entire point.
-            if buffer.is_frozen() {
-                return Err(IoError::PowerLoss);
-            }
-            self.ctx.sleep(self.cfg.ack_base).await;
-            Ok(())
         })
     }
 }
@@ -378,7 +322,7 @@ mod tests {
     use crate::{CapacitySpec, RapiLog};
     use rapilog_microvisor::{Hypervisor, Trust};
     use rapilog_simcore::{Sim, SimTime};
-    use rapilog_simdisk::{specs, Disk};
+    use rapilog_simdisk::{specs, BlockDeviceExt, Disk};
     use std::cell::Cell as StdCell;
 
     fn setup(sim: &mut Sim, capacity: CapacitySpec) -> (RapiLog, RapiLogDevice, Disk) {
@@ -558,7 +502,7 @@ mod write_through_tests {
     use crate::{CapacitySpec, RapiLog};
     use rapilog_microvisor::{Hypervisor, Trust};
     use rapilog_simcore::{Sim, SimDuration, SimTime};
-    use rapilog_simdisk::{specs, Disk};
+    use rapilog_simdisk::{specs, BlockDeviceExt, Disk};
     use rapilog_simpower::{PowerSupply, SupplySpec};
     use std::cell::Cell as StdCell;
     use std::rc::Rc;

@@ -15,8 +15,8 @@ use std::fmt;
 
 /// Identifier of a cancellation domain.
 ///
-/// `DomainId::ROOT` is the default domain used by [`Sim::spawn`]
-/// (crate::Sim::spawn) and cannot be killed.
+/// `DomainId::ROOT` is the default domain used by
+/// [`Sim::spawn`](crate::Sim::spawn) and cannot be killed.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DomainId(pub(crate) u64);
 

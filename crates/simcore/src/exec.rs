@@ -12,7 +12,7 @@
 //! fires every timer registered for that instant (in registration order).
 //! This makes runs bit-for-bit reproducible for a given seed and spawn order.
 //!
-//! The data structures behind that contract live in [`crate::sched`]: the
+//! The data structures behind that contract live in the `sched` module: the
 //! default [`SchedulerKind::TimerWheel`] core (hierarchical timer wheel, slab
 //! task arena, lock-light ready ring) and the
 //! [`SchedulerKind::Reference`] core kept for differential testing. Pick one
@@ -91,7 +91,7 @@ impl Sim {
     }
 
     /// Creates a simulation on an explicit scheduling core. Both cores are
-    /// observably identical (see [`crate::sched`]); the non-default
+    /// observably identical (see the `sched` module); the non-default
     /// [`SchedulerKind::Reference`] core exists for differential tests.
     pub fn new_with_scheduler(seed: u64, kind: SchedulerKind) -> Self {
         let inner = Inner {

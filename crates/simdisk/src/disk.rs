@@ -21,6 +21,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
+use std::future::Future;
 use std::rc::Rc;
 
 use rapilog_simcore::bytes::SectorBuf;
@@ -34,8 +35,7 @@ use crate::spec::DiskSpec;
 use crate::store::SectorStore;
 use crate::timing::{ServiceParts, TimingModel};
 use crate::{
-    BlockDevice, Completion, Geometry, IoError, IoReq, IoResult, IoRun, LocalBoxFuture, ReqToken,
-    SECTOR_SIZE,
+    BlockDevice, Geometry, IoError, IoReq, IoResult, IoRun, LocalBoxFuture, ReqToken, SECTOR_SIZE,
 };
 
 /// Largest contiguous run the writeback task commits in one media op.
@@ -72,16 +72,16 @@ pub struct DiskStats {
     /// offline (or lost power mid-request). Previously these failures were
     /// invisible in the counters.
     pub rejected_offline: u64,
-    /// Requests submitted through the queued interface
-    /// ([`BlockDevice::submit`]).
+    /// Requests submitted through the queue ([`Disk::submit`],
+    /// [`Disk::submit_segments`]).
     pub queued_requests: u64,
     /// Queued requests outstanding right now (submitted, not yet
     /// completed).
     pub outstanding: u32,
     /// High-water mark of [`outstanding`](DiskStats::outstanding) — the
-    /// deepest the submission queue has ever been. Stays 0 when only the
-    /// depth-1 shims are used; under the windowed drain it shows how much
-    /// channel parallelism was actually exploited.
+    /// deepest the submission queue has ever been. Stays 0 when requests
+    /// only arrive through [`BlockDevice::io`]; under the windowed drain it
+    /// shows how much channel parallelism was actually exploited.
     pub max_outstanding: u32,
     /// Total time the actuator was busy.
     pub busy: SimDuration,
@@ -159,7 +159,7 @@ struct DiskInner {
     /// cleared — models a drive in an error burst / firmware reset storm.
     sick: Cell<bool>,
     stats: RefCell<DiskStats>,
-    /// Completion bookkeeping for the queued interface.
+    /// Completion bookkeeping for [`Disk::submit`].
     queue: IoQueue,
     tracer: Rc<Tracer>,
 }
@@ -343,7 +343,7 @@ impl Disk {
             bad_sectors: RefCell::new(BTreeSet::new()),
             sick: Cell::new(false),
             stats: RefCell::new(DiskStats::default()),
-            queue: IoQueue::new(),
+            queue: IoQueue::default(),
             tracer: ctx.tracer(),
             spec,
         });
@@ -361,9 +361,8 @@ impl Disk {
         &self.inner.spec
     }
 
-    /// Snapshot of cumulative statistics. The queued-interface gauges
-    /// (`outstanding`, `max_outstanding`) are folded in from the live
-    /// submission queue.
+    /// Snapshot of cumulative statistics. The queue gauges (`outstanding`,
+    /// `max_outstanding`) are folded in from the live submission queue.
     pub fn stats(&self) -> DiskStats {
         let mut stats = *self.inner.stats.borrow();
         stats.outstanding = self.inner.queue.outstanding();
@@ -494,24 +493,10 @@ impl Disk {
         );
     }
 
-    fn check_access(&self, sector: u64, len: usize) -> IoResult<u64> {
-        if len == 0 || !len.is_multiple_of(SECTOR_SIZE) {
-            return Err(IoError::Misaligned { len });
-        }
-        let count = (len / SECTOR_SIZE) as u64;
-        if sector
-            .checked_add(count)
-            .is_none_or(|end| end > self.inner.geometry.sectors)
-        {
-            return Err(IoError::OutOfRange { sector, count });
-        }
-        Ok(count)
-    }
-
     /// Reads `buf.len() / 512` sectors starting at `sector`, overlaying any
     /// newer data still in the volatile cache.
     pub async fn read(&self, sector: u64, buf: &mut [u8]) -> IoResult<()> {
-        let count = self.check_access(sector, buf.len())?;
+        let count = self.inner.geometry.check_access(sector, buf.len())?;
         if self.inner.offline.get() {
             return Err(self.inner.reject_offline());
         }
@@ -628,7 +613,7 @@ impl Disk {
     /// has no volatile cache, the data is on media when this returns;
     /// otherwise it is absorbed by the cache and written back later.
     pub async fn write(&self, sector: u64, data: &[u8], fua: bool) -> IoResult<()> {
-        self.check_access(sector, data.len())?;
+        self.inner.geometry.check_access(sector, data.len())?;
         if let Some(res) = self.cached_write(sector, data, fua).await {
             return res;
         }
@@ -649,7 +634,7 @@ impl Disk {
         fua: bool,
     ) -> IoResult<()> {
         let total: usize = segments.iter().map(SectorBuf::len).sum();
-        self.check_access(sector, total)?;
+        self.inner.geometry.check_access(sector, total)?;
         for seg in &segments {
             if seg.is_empty() || !seg.len().is_multiple_of(SECTOR_SIZE) {
                 return Err(IoError::Misaligned { len: seg.len() });
@@ -675,6 +660,58 @@ impl Disk {
                 .await?;
         }
         Ok(())
+    }
+
+    /// Enqueues `req` and returns its token, without waiting: the request
+    /// runs as its own task and its result is claimed with
+    /// [`wait`](Disk::wait). Up to [`Geometry::queue_depth`] queued
+    /// requests make media progress at once; completion order is not
+    /// submission order. The queue's depth is what
+    /// [`DiskStats::outstanding`] and [`DiskStats::max_outstanding`]
+    /// report.
+    pub fn submit(&self, req: IoReq) -> ReqToken {
+        let disk = self.clone();
+        self.enqueue(async move { disk.io(req).await })
+    }
+
+    /// [`submit`](Disk::submit) for a scatter-gather write: `segments` laid
+    /// out back to back from `sector`, as one device command (see
+    /// [`write_segments`](Disk::write_segments)).
+    pub fn submit_segments(&self, sector: u64, segments: Vec<SectorBuf>, fua: bool) -> ReqToken {
+        let disk = self.clone();
+        self.enqueue(async move {
+            disk.write_segments(sector, segments, fua)
+                .await
+                .map(|()| None)
+        })
+    }
+
+    /// Waits for the submitted request `token` and takes its result; a
+    /// completed read yields `Some(data)`. Each token must be claimed
+    /// exactly once.
+    pub async fn wait(&self, token: ReqToken) -> IoResult<Option<SectorBuf>> {
+        self.inner.queue.wait(token).await
+    }
+
+    fn enqueue(&self, op: impl Future<Output = IoResult<Option<SectorBuf>>> + 'static) -> ReqToken {
+        let token = self.inner.queue.issue();
+        self.inner.stats.borrow_mut().queued_requests += 1;
+        // Make the reordering observable: mark every change in queue depth
+        // on the disk trace layer.
+        self.inner.tracer.instant(
+            self.inner.ctx.now(),
+            Layer::Disk,
+            "disk_queue_depth",
+            Payload::Bytes {
+                bytes: self.inner.queue.outstanding() as u64,
+            },
+        );
+        let inner = Rc::clone(&self.inner);
+        self.inner.ctx.spawn(async move {
+            let result = op.await;
+            inner.queue.finish(token, result);
+        });
+        token
     }
 
     /// Cache-absorption leg shared by the slice and vectored write paths.
@@ -1006,73 +1043,21 @@ impl BlockDevice for Disk {
         self.inner.geometry
     }
 
-    fn submit(&self, req: IoReq) -> ReqToken {
-        let token = self.inner.queue.issue();
-        self.inner.stats.borrow_mut().queued_requests += 1;
-        // Make the reordering observable: mark every change in queue depth
-        // on the disk trace layer.
-        self.inner.tracer.instant(
-            self.inner.ctx.now(),
-            Layer::Disk,
-            "disk_queue_depth",
-            Payload::Bytes {
-                bytes: self.inner.queue.outstanding() as u64,
-            },
-        );
-        let disk = self.clone();
-        self.inner.ctx.spawn(async move {
-            let (result, data) = match req {
+    fn io(&self, req: IoReq) -> LocalBoxFuture<'_, IoResult<Option<SectorBuf>>> {
+        Box::pin(async move {
+            match req {
                 IoReq::Read { sector, sectors } => {
-                    let mut buf = vec![0u8; sectors as usize * SECTOR_SIZE];
-                    match disk.read(sector, &mut buf).await {
-                        Ok(()) => (Ok(()), Some(SectorBuf::from_vec(buf))),
-                        Err(e) => (Err(e), None),
-                    }
+                    let mut buf = vec![0u8; self.inner.geometry.read_len(sector, sectors)?];
+                    self.read(sector, &mut buf).await?;
+                    Ok(Some(SectorBuf::from_vec(buf)))
                 }
-                IoReq::Write {
-                    sector,
-                    segments,
-                    fua,
-                } => (disk.write_segments(sector, segments, fua).await, None),
-                IoReq::Flush => (disk.flush().await, None),
-            };
-            disk.inner.queue.finish(token, result, data);
-        });
-        token
-    }
-
-    fn completions(&self) -> LocalBoxFuture<'_, Vec<Completion>> {
-        Box::pin(self.inner.queue.completions())
-    }
-
-    fn wait(&self, token: ReqToken) -> LocalBoxFuture<'_, IoResult<Option<SectorBuf>>> {
-        Box::pin(self.inner.queue.wait(token))
-    }
-
-    fn read<'a>(&'a self, sector: u64, buf: &'a mut [u8]) -> LocalBoxFuture<'a, IoResult<()>> {
-        Box::pin(self.read(sector, buf))
-    }
-
-    fn write<'a>(
-        &'a self,
-        sector: u64,
-        data: &'a [u8],
-        fua: bool,
-    ) -> LocalBoxFuture<'a, IoResult<()>> {
-        Box::pin(self.write(sector, data, fua))
-    }
-
-    fn flush(&self) -> LocalBoxFuture<'_, IoResult<()>> {
-        Box::pin(self.flush())
-    }
-
-    fn write_buf(
-        &self,
-        sector: u64,
-        data: SectorBuf,
-        fua: bool,
-    ) -> LocalBoxFuture<'_, IoResult<()>> {
-        Box::pin(async move { self.write_segments(sector, vec![data], fua).await })
+                IoReq::Write { sector, data, fua } => self
+                    .write_segments(sector, vec![data], fua)
+                    .await
+                    .map(|()| None),
+                IoReq::Flush => self.flush().await.map(|()| None),
+            }
+        })
     }
 }
 
@@ -1080,6 +1065,7 @@ impl BlockDevice for Disk {
 mod tests {
     use super::*;
     use crate::spec::specs;
+    use crate::BlockDeviceExt;
     use rapilog_simcore::{Sim, SimTime};
     use std::cell::Cell;
 
@@ -1360,7 +1346,7 @@ mod tests {
             let data = pattern(2 * SECTOR_SIZE, 0x5A);
             let w = disk.submit(IoReq::Write {
                 sector: 8,
-                segments: vec![SectorBuf::from_vec(data.clone())],
+                data: SectorBuf::from_vec(data.clone()),
                 fua: true,
             });
             let r = disk.submit(IoReq::Read {
@@ -1380,31 +1366,6 @@ mod tests {
     }
 
     #[test]
-    fn completions_drain_all_finished_requests() {
-        run_on_disk(specs::instant(1 << 20), |_ctx, disk| async move {
-            let a = disk.submit(IoReq::Write {
-                sector: 0,
-                segments: vec![SectorBuf::from_vec(pattern(SECTOR_SIZE, 1))],
-                fua: true,
-            });
-            let b = disk.submit(IoReq::Write {
-                sector: 4,
-                segments: vec![SectorBuf::from_vec(pattern(SECTOR_SIZE, 2))],
-                fua: true,
-            });
-            let mut seen = Vec::new();
-            while seen.len() < 2 {
-                for c in disk.completions().await {
-                    assert_eq!(c.result, Ok(()));
-                    seen.push(c.token);
-                }
-            }
-            seen.sort();
-            assert_eq!(seen, vec![a, b]);
-        });
-    }
-
-    #[test]
     fn ssd_channels_serve_writes_concurrently() {
         // Four 15 µs writes: depth 1 takes ~4× as long as four channels.
         fn elapsed(channels: u32) -> SimTime {
@@ -1417,7 +1378,7 @@ mod tests {
                     .map(|i| {
                         disk.submit(IoReq::Write {
                             sector: i * 100,
-                            segments: vec![SectorBuf::from_vec(vec![i as u8; SECTOR_SIZE])],
+                            data: SectorBuf::from_vec(vec![i as u8; SECTOR_SIZE]),
                             fua: true,
                         })
                     })
@@ -1448,7 +1409,7 @@ mod tests {
                 .map(|i| {
                     d2.submit(IoReq::Write {
                         sector: i * 1000,
-                        segments: vec![SectorBuf::from_vec(vec![i as u8; SECTOR_SIZE])],
+                        data: SectorBuf::from_vec(vec![i as u8; SECTOR_SIZE]),
                         fua: true,
                     })
                 })
@@ -1462,47 +1423,6 @@ mod tests {
         assert_eq!(stats.media_ops, 3);
         // The actuator still serialises: busy time ≤ elapsed time.
         assert!(stats.busy.as_nanos() <= report.now.as_nanos());
-    }
-
-    #[test]
-    fn default_shims_work_over_submission() {
-        // A minimal device that only implements the queued surface: the
-        // deprecated read/write/flush shims must still work through it.
-        struct QueueOnly {
-            disk: Disk,
-        }
-        impl BlockDevice for QueueOnly {
-            fn geometry(&self) -> Geometry {
-                self.disk.geometry()
-            }
-            fn submit(&self, req: IoReq) -> ReqToken {
-                self.disk.submit(req)
-            }
-            fn completions(&self) -> LocalBoxFuture<'_, Vec<Completion>> {
-                self.disk.completions()
-            }
-            fn wait(&self, token: ReqToken) -> LocalBoxFuture<'_, IoResult<Option<SectorBuf>>> {
-                BlockDevice::wait(&self.disk, token)
-            }
-        }
-        let mut sim = Sim::new(7);
-        let ctx = sim.ctx();
-        let dev: Rc<dyn BlockDevice> = Rc::new(QueueOnly {
-            disk: Disk::new(&ctx, specs::instant(1 << 20)),
-        });
-        sim.spawn(async move {
-            let data = pattern(2 * SECTOR_SIZE, 0x77);
-            dev.write(3, &data, true).await.unwrap();
-            dev.flush().await.unwrap();
-            let mut buf = vec![0u8; 2 * SECTOR_SIZE];
-            dev.read(3, &mut buf).await.unwrap();
-            assert_eq!(buf, data);
-            assert_eq!(
-                dev.write(0, &data[..100], true).await,
-                Err(IoError::Misaligned { len: 100 })
-            );
-        });
-        sim.run();
     }
 
     #[test]

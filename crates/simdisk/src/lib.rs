@@ -43,13 +43,12 @@
 //! ```
 
 pub mod disk;
-pub mod queue;
+mod queue;
 pub mod spec;
 pub mod store;
 pub mod timing;
 
 pub use disk::{Disk, DiskStats};
-pub use queue::IoQueue;
 pub use rapilog_simcore::bytes::{SectorBuf, SectorPool};
 pub use spec::{specs, CacheSpec, DiskSpec, FaultProfile, TimingSpec};
 pub use store::SectorStore;
@@ -137,27 +136,61 @@ impl Geometry {
     pub fn capacity_bytes(&self) -> u64 {
         self.sectors * self.sector_size as u64
     }
+
+    /// Validates an access of `len` bytes at `sector` and returns its
+    /// length in sectors: [`IoError::Misaligned`] unless `len` is a
+    /// positive multiple of the sector size, [`IoError::OutOfRange`] if it
+    /// runs past the end.
+    pub fn check_access(&self, sector: u64, len: usize) -> IoResult<u64> {
+        if len == 0 || !len.is_multiple_of(self.sector_size) {
+            return Err(IoError::Misaligned { len });
+        }
+        let count = (len / self.sector_size) as u64;
+        if sector
+            .checked_add(count)
+            .is_none_or(|end| end > self.sectors)
+        {
+            return Err(IoError::OutOfRange { sector, count });
+        }
+        Ok(count)
+    }
+
+    /// Validates a read of `sectors` sectors at `sector` and returns its
+    /// length in bytes. Checked arithmetic throughout, and it runs before
+    /// any caller sizes a buffer, so a hostile count is a typed error
+    /// rather than a huge allocation.
+    pub fn read_len(&self, sector: u64, sectors: u64) -> IoResult<usize> {
+        let len = usize::try_from(sectors)
+            .ok()
+            .and_then(|n| n.checked_mul(self.sector_size))
+            .ok_or(IoError::OutOfRange {
+                sector,
+                count: sectors,
+            })?;
+        self.check_access(sector, len).map(|_| len)
+    }
 }
 
-/// One request on the queued [`BlockDevice`] interface.
-///
-/// Submitted with [`BlockDevice::submit`]; the matching [`Completion`]
-/// carries the result (and, for reads, the data).
+/// One request on the [`BlockDevice`] interface, run to completion by
+/// [`BlockDevice::io`].
 #[derive(Debug, Clone)]
 pub enum IoReq {
-    /// Read `sectors` sectors starting at `sector`.
+    /// Read `sectors` sectors starting at `sector`. Completes with the data.
     Read {
         /// First sector of the access.
         sector: u64,
         /// Number of sectors to read.
         sectors: u64,
     },
-    /// Write `segments` laid out back to back starting at `sector`.
+    /// Write `data` starting at `sector`.
     Write {
         /// First sector of the access.
         sector: u64,
-        /// Byte segments, each a multiple of the sector size.
-        segments: Vec<SectorBuf>,
+        /// The bytes, a positive multiple of the sector size. Layers that
+        /// keep the bytes alive (the virtio ring, the RapiLog buffer, the
+        /// media model's in-flight window) take O(1) views of it instead
+        /// of copying.
+        data: SectorBuf,
         /// Force unit access: data is on stable media at completion.
         fua: bool,
     },
@@ -166,156 +199,85 @@ pub enum IoReq {
     Flush,
 }
 
-/// Opaque handle identifying a submitted request.
-///
-/// Tokens are unique per device instance and must be claimed exactly once,
-/// via [`BlockDevice::wait`] or [`BlockDevice::completions`].
+/// Opaque handle identifying a request submitted to [`Disk::submit`] or
+/// [`Disk::submit_segments`]; claimed exactly once with [`Disk::wait`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ReqToken(pub(crate) u64);
 
-/// The finished half of a queued request.
-#[derive(Debug, Clone)]
-pub struct Completion {
-    /// Token returned by the [`BlockDevice::submit`] that started this
-    /// request.
-    pub token: ReqToken,
-    /// Outcome of the request.
-    pub result: IoResult<()>,
-    /// Data of a completed read; `None` for writes, flushes, and errors.
-    pub data: Option<SectorBuf>,
-}
-
 /// An asynchronous, sector-addressed block device.
 ///
-/// Implemented by the raw simulated [`Disk`] and — crucially — by the
-/// RapiLog virtual log disk, which is how an unmodified database engine is
-/// pointed at either one. All methods are object-safe (they return boxed
+/// Implemented by the raw simulated [`Disk`], the virtio transport, the
+/// engine's retrying block layer and — crucially — the RapiLog virtual log
+/// disk, which is how an unmodified database engine is pointed at either a
+/// raw disk or RapiLog. The trait is object-safe (it returns boxed
 /// futures) so engines can hold `Rc<dyn BlockDevice>`.
 ///
-/// # The queued interface
-///
-/// The primary surface is queue-based: [`submit`](BlockDevice::submit)
-/// enqueues a request and returns immediately with a [`ReqToken`]; the
-/// result is collected later with [`wait`](BlockDevice::wait) (one token)
-/// or [`completions`](BlockDevice::completions) (everything finished).
-/// Multiple requests may be outstanding at once — up to
-/// [`Geometry::queue_depth`] of them make media progress concurrently —
-/// which is what lets the RapiLog drain keep several flash channels busy.
-/// Completion order is *not* submission order; callers that need ordering
-/// express it by waiting before submitting the dependent request.
-///
-/// Each token must be claimed exactly once, through either `wait` or
-/// `completions`, never both: `completions` drains every unclaimed result,
-/// so mixing the two styles on one device handle steals tokens from the
-/// `wait`ers.
-///
-/// The older one-future-per-op methods ([`read`](BlockDevice::read),
-/// [`write`](BlockDevice::write), [`flush`](BlockDevice::flush),
-/// [`write_buf`](BlockDevice::write_buf)) remain as default-method shims
-/// over depth-1 submission. They are **deprecated as a primary interface**
-/// — new code should submit — but stay supported indefinitely as the
-/// convenient form for engines that want one request at a time.
+/// A device has exactly one I/O entry point: [`io`](BlockDevice::io) runs
+/// one request to completion. Callers that want several requests in flight
+/// spawn several `io` futures; callers holding borrowed slices use the
+/// [`BlockDeviceExt`] helpers, which every device gets for free.
 pub trait BlockDevice {
     /// The device's geometry.
     fn geometry(&self) -> Geometry;
 
-    /// Enqueues `req` and returns its token. Never blocks: admission
-    /// control beyond [`Geometry::queue_depth`] happens inside the device,
-    /// not at submission.
-    fn submit(&self, req: IoReq) -> ReqToken;
-
-    /// Waits until at least one submitted request has finished, then
-    /// returns every unclaimed [`Completion`] (ascending token order).
-    fn completions(&self) -> LocalBoxFuture<'_, Vec<Completion>>;
-
-    /// Waits for one specific request and takes its result; a completed
-    /// read yields `Some(data)`.
-    fn wait(&self, token: ReqToken) -> LocalBoxFuture<'_, IoResult<Option<SectorBuf>>>;
-
-    /// Reads `buf.len() / sector_size` sectors starting at `sector`.
-    /// The buffer length must be a positive multiple of the sector size.
+    /// Runs `req` to completion. A completed [`IoReq::Read`] yields
+    /// `Some(data)`; writes and flushes yield `None`.
     ///
-    /// Deprecated shim: depth-1 [`submit`](BlockDevice::submit) +
-    /// [`wait`](BlockDevice::wait), plus one copy into the borrowed
-    /// buffer. Prefer submitting an [`IoReq::Read`].
-    fn read<'a>(&'a self, sector: u64, buf: &'a mut [u8]) -> LocalBoxFuture<'a, IoResult<()>> {
-        Box::pin(async move {
-            if buf.is_empty() || !buf.len().is_multiple_of(SECTOR_SIZE) {
-                return Err(IoError::Misaligned { len: buf.len() });
-            }
-            let token = self.submit(IoReq::Read {
-                sector,
-                sectors: (buf.len() / SECTOR_SIZE) as u64,
-            });
-            let data = self.wait(token).await?;
-            let data = data.expect("read completion must carry data");
-            buf.copy_from_slice(data.as_slice());
-            Ok(())
-        })
-    }
+    /// Every device validates a request before acting on it: a zero-length
+    /// or misaligned access fails with [`IoError::Misaligned`], an access
+    /// past the end with [`IoError::OutOfRange`] — never a panic or an
+    /// allocation sized by an unchecked count.
+    fn io(&self, req: IoReq) -> LocalBoxFuture<'_, IoResult<Option<SectorBuf>>>;
+}
+
+/// Borrowed-slice helpers over [`BlockDevice::io`], implemented once for
+/// every device (and for `dyn BlockDevice`).
+///
+/// Each costs one copy between the borrowed slice and an owned buffer;
+/// code on the log data path builds [`IoReq`]s with owned [`SectorBuf`]s
+/// instead.
+pub trait BlockDeviceExt: BlockDevice {
+    /// Reads `buf.len() / SECTOR_SIZE` sectors starting at `sector` into
+    /// `buf`, whose length must be a positive multiple of the sector size.
+    fn read<'a>(
+        &'a self,
+        sector: u64,
+        buf: &'a mut [u8],
+    ) -> impl Future<Output = IoResult<()>> + 'a;
 
     /// Writes `data` starting at `sector`. With `fua` (force unit access)
     /// the data is on stable media when the future resolves; without it the
     /// write may land in a volatile cache.
-    ///
-    /// Deprecated shim: depth-1 [`submit`](BlockDevice::submit) +
-    /// [`wait`](BlockDevice::wait), plus one copy of `data` into an owned
-    /// buffer. Prefer submitting an [`IoReq::Write`].
     fn write<'a>(
         &'a self,
         sector: u64,
         data: &'a [u8],
         fua: bool,
-    ) -> LocalBoxFuture<'a, IoResult<()>> {
-        Box::pin(async move {
-            if data.is_empty() || !data.len().is_multiple_of(SECTOR_SIZE) {
-                return Err(IoError::Misaligned { len: data.len() });
-            }
-            let token = self.submit(IoReq::Write {
-                sector,
-                segments: vec![SectorBuf::copy_from(data)],
-                fua,
-            });
-            self.wait(token).await.map(|_| ())
-        })
-    }
+    ) -> impl Future<Output = IoResult<()>> + 'a;
 
     /// Barrier: resolves once every previously acknowledged write is on
     /// stable media.
-    ///
-    /// Deprecated shim: depth-1 submission of [`IoReq::Flush`].
-    fn flush(&self) -> LocalBoxFuture<'_, IoResult<()>> {
-        Box::pin(async move {
-            let token = self.submit(IoReq::Flush);
-            self.wait(token).await.map(|_| ())
-        })
+    fn flush(&self) -> impl Future<Output = IoResult<()>> + '_;
+}
+
+impl<T: BlockDevice + ?Sized> BlockDeviceExt for T {
+    async fn read(&self, sector: u64, buf: &mut [u8]) -> IoResult<()> {
+        if buf.is_empty() || !buf.len().is_multiple_of(SECTOR_SIZE) {
+            return Err(IoError::Misaligned { len: buf.len() });
+        }
+        let sectors = (buf.len() / SECTOR_SIZE) as u64;
+        let data = self.io(IoReq::Read { sector, sectors }).await?;
+        buf.copy_from_slice(&data.expect("read completion carries data"));
+        Ok(())
     }
 
-    /// Writes an owned, reference-counted buffer starting at `sector`.
-    ///
-    /// This is the zero-copy entry point of the log data path: layers that
-    /// keep the bytes alive (the RapiLog buffer, the virtio transport, the
-    /// media model's in-flight window) take an O(1) view of `data` instead
-    /// of copying it. The default implementation submits a single-segment
-    /// [`IoReq::Write`], so existing devices keep working and pay at most
-    /// what they paid before.
-    fn write_buf(
-        &self,
-        sector: u64,
-        data: SectorBuf,
-        fua: bool,
-    ) -> LocalBoxFuture<'_, IoResult<()>> {
-        Box::pin(async move {
-            if data.is_empty() || !data.len().is_multiple_of(SECTOR_SIZE) {
-                return Err(IoError::Misaligned { len: data.len() });
-            }
-            let token = self.submit(IoReq::Write {
-                sector,
-                segments: vec![data],
-                fua,
-            });
-            self.wait(token).await.map(|_| ())
-        })
+    async fn write(&self, sector: u64, data: &[u8], fua: bool) -> IoResult<()> {
+        let data = SectorBuf::copy_from(data);
+        self.io(IoReq::Write { sector, data, fua }).await.map(drop)
+    }
+
+    async fn flush(&self) -> IoResult<()> {
+        self.io(IoReq::Flush).await.map(drop)
     }
 }
 

@@ -1,15 +1,14 @@
-//! Completion bookkeeping for the queued [`BlockDevice`] interface.
+//! Completion bookkeeping for [`Disk`]'s submission queue.
 //!
-//! Every device that implements [`BlockDevice::submit`] needs the same small
-//! piece of machinery: hand out tokens, remember finished requests until the
-//! caller collects them, and wake whoever is waiting. [`IoQueue`] is that
-//! machinery, shared by the simulated [`Disk`](crate::Disk), the virtio
-//! transport, the retrying wrapper and the RapiLog virtual device. It is
-//! deliberately dumb — *when* a request finishes is entirely the device's
-//! business; the queue only routes the result back to the submitter.
+//! [`Disk::submit`] hands out a token per request and spawns the request;
+//! [`IoQueue`] remembers each finished result until its submitter claims it
+//! with [`Disk::wait`], and counts what is outstanding. It is deliberately
+//! dumb — *when* a request finishes is entirely the disk's business; the
+//! queue only routes the result back to the submitter.
 //!
-//! [`BlockDevice`]: crate::BlockDevice
-//! [`BlockDevice::submit`]: crate::BlockDevice::submit
+//! [`Disk`]: crate::Disk
+//! [`Disk::submit`]: crate::Disk::submit
+//! [`Disk::wait`]: crate::Disk::wait
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -17,38 +16,27 @@ use std::collections::HashMap;
 use rapilog_simcore::bytes::SectorBuf;
 use rapilog_simcore::sync::Notify;
 
-use crate::{Completion, IoResult, ReqToken};
-
-/// What the mailbox stores per finished request: the outcome and, for
-/// reads, the payload.
-type Finished = (IoResult<()>, Option<SectorBuf>);
+use crate::{IoResult, ReqToken};
 
 /// Token allocator plus completion mailbox for one device instance.
 ///
 /// Single-threaded (sim tasks are cooperative), so plain `Cell`/`RefCell`
-/// interior mutability is enough. The device calls [`issue`](IoQueue::issue)
-/// from `submit` and [`finish`](IoQueue::finish) when the spawned request
-/// task resolves; submitters call [`wait`](IoQueue::wait) for one token or
-/// [`completions`](IoQueue::completions) to drain everything that has
-/// finished.
+/// interior mutability is enough. The disk calls [`issue`](IoQueue::issue)
+/// on submission and [`finish`](IoQueue::finish) when the spawned request
+/// task resolves; submitters call [`wait`](IoQueue::wait).
 #[derive(Default)]
-pub struct IoQueue {
+pub(crate) struct IoQueue {
     next_token: Cell<u64>,
-    done: RefCell<HashMap<u64, Finished>>,
+    done: RefCell<HashMap<u64, IoResult<Option<SectorBuf>>>>,
     outstanding: Cell<u32>,
     max_outstanding: Cell<u32>,
     notify: Notify,
 }
 
 impl IoQueue {
-    /// Creates an empty queue.
-    pub fn new() -> IoQueue {
-        IoQueue::default()
-    }
-
     /// Allocates the token for a freshly submitted request and counts it
     /// as outstanding.
-    pub fn issue(&self) -> ReqToken {
+    pub(crate) fn issue(&self) -> ReqToken {
         let t = self.next_token.get();
         self.next_token.set(t + 1);
         let out = self.outstanding.get() + 1;
@@ -59,57 +47,31 @@ impl IoQueue {
         ReqToken(t)
     }
 
-    /// Records the result of a request and wakes every waiter. `data`
-    /// carries the payload of a completed read; writes and flushes pass
-    /// `None`.
-    pub fn finish(&self, token: ReqToken, result: IoResult<()>, data: Option<SectorBuf>) {
-        self.done.borrow_mut().insert(token.0, (result, data));
+    /// Records the result of a request and wakes every waiter.
+    pub(crate) fn finish(&self, token: ReqToken, result: IoResult<Option<SectorBuf>>) {
+        self.done.borrow_mut().insert(token.0, result);
         self.outstanding
             .set(self.outstanding.get().saturating_sub(1));
         self.notify.notify_all();
     }
 
     /// Requests submitted but not yet finished.
-    pub fn outstanding(&self) -> u32 {
+    pub(crate) fn outstanding(&self) -> u32 {
         self.outstanding.get()
     }
 
     /// High-water mark of [`outstanding`](IoQueue::outstanding) over the
     /// queue's lifetime.
-    pub fn max_outstanding(&self) -> u32 {
+    pub(crate) fn max_outstanding(&self) -> u32 {
         self.max_outstanding.get()
     }
 
     /// Waits for the request identified by `token` and takes its result.
-    /// Each token must be claimed exactly once, through either `wait` or
-    /// [`completions`](IoQueue::completions) — never both.
-    pub async fn wait(&self, token: ReqToken) -> IoResult<Option<SectorBuf>> {
+    /// Each token must be claimed exactly once.
+    pub(crate) async fn wait(&self, token: ReqToken) -> IoResult<Option<SectorBuf>> {
         loop {
-            if let Some((result, data)) = self.done.borrow_mut().remove(&token.0) {
-                return result.map(|()| data);
-            }
-            self.notify.notified().await;
-        }
-    }
-
-    /// Waits until at least one request has finished, then drains and
-    /// returns every unclaimed completion (ascending token order).
-    pub async fn completions(&self) -> Vec<Completion> {
-        loop {
-            {
-                let mut done = self.done.borrow_mut();
-                if !done.is_empty() {
-                    let mut out: Vec<Completion> = done
-                        .drain()
-                        .map(|(t, (result, data))| Completion {
-                            token: ReqToken(t),
-                            result,
-                            data,
-                        })
-                        .collect();
-                    out.sort_by_key(|c| c.token.0);
-                    return out;
-                }
+            if let Some(result) = self.done.borrow_mut().remove(&token.0) {
+                return result;
             }
             self.notify.notified().await;
         }
@@ -126,7 +88,7 @@ mod tests {
     #[test]
     fn wait_returns_result_for_its_own_token() {
         let mut sim = Sim::new(7);
-        let q = Rc::new(IoQueue::new());
+        let q = Rc::new(IoQueue::default());
         let a = q.issue();
         let b = q.issue();
         assert_ne!(a, b);
@@ -138,29 +100,10 @@ mod tests {
             let got = q2.wait(a).await;
             assert_eq!(got, Ok(None));
         });
-        q.finish(b, Err(IoError::Transient), None);
-        q.finish(a, Ok(()), None);
+        q.finish(b, Err(IoError::Transient));
+        q.finish(a, Ok(None));
         sim.run();
         assert_eq!(q.outstanding(), 0);
         assert_eq!(q.max_outstanding(), 2);
-    }
-
-    #[test]
-    fn completions_drains_everything_finished() {
-        let mut sim = Sim::new(7);
-        let q = Rc::new(IoQueue::new());
-        let a = q.issue();
-        let b = q.issue();
-        q.finish(b, Ok(()), Some(SectorBuf::from_vec(vec![1u8; 512])));
-        q.finish(a, Ok(()), None);
-        let q2 = Rc::clone(&q);
-        sim.spawn(async move {
-            let got = q2.completions().await;
-            assert_eq!(got.len(), 2);
-            assert_eq!(got[0].token, a);
-            assert_eq!(got[1].token, b);
-            assert_eq!(got[1].data.as_ref().map(|d| d.len()), Some(512));
-        });
-        sim.run();
     }
 }

@@ -33,8 +33,10 @@ pub enum TimingSpec {
         bus_bytes_per_sec: u64,
         /// Independent flash channels: how many media operations the device
         /// services concurrently. Each channel has the full per-op latency
-        /// and bus share; the queued [`BlockDevice`](crate::BlockDevice)
-        /// interface is what lets callers actually keep them busy.
+        /// and bus share; keeping several requests in flight (concurrent
+        /// [`BlockDevice::io`](crate::BlockDevice::io) calls, or the
+        /// [`Disk::submit`](crate::Disk::submit) queue) is what keeps them
+        /// busy.
         channels: u32,
     },
 }

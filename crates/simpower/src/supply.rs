@@ -212,8 +212,8 @@ impl PowerSupply {
         });
     }
 
-    /// Restores mains power (after a [`cut_mains`] episode has run its
-    /// course or mid-window). Warning/death events are re-armed.
+    /// Restores mains power (after a [`cut_mains`](Self::cut_mains) episode
+    /// has run its course or mid-window). Warning/death events are re-armed.
     pub fn restore(&self) {
         self.inner.episode.set(self.inner.episode.get() + 1);
         self.inner.state.set(PowerState::Mains);

@@ -1,6 +1,6 @@
 //! Microbenchmarks that isolate the commit path.
 //!
-//! * [`commit_storm`] tables and transactions: each transaction is one
+//! * Commit-storm tables and transactions: each transaction is one
 //!   blind update of a private row plus a commit — nothing but log forcing
 //!   remains. The latency-anatomy figure (Fig 2) is built on this.
 //! * The audited **register workload** for the durability experiments:

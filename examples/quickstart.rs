@@ -11,7 +11,7 @@
 use rapilog_suite::microvisor::{Hypervisor, Trust};
 use rapilog_suite::rapilog::RapiLog;
 use rapilog_suite::simcore::{Sim, SimDuration};
-use rapilog_suite::simdisk::{specs, BlockDevice, Disk, SECTOR_SIZE};
+use rapilog_suite::simdisk::{specs, BlockDeviceExt, Disk, SECTOR_SIZE};
 
 fn main() {
     let mut sim = Sim::new(42);

@@ -16,6 +16,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --all -- --check"
 cargo fmt --all -- --check
 
+echo "==> rustdoc, warnings as errors (broken intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --keep-going
+
 echo "==> latency-breakdown figure (trace smoke test)"
 ./target/release/fig_latency_breakdown
 

@@ -23,6 +23,6 @@ pub mod prelude {
     pub use rapilog_microvisor::{Hypervisor, Trust};
     pub use rapilog_simcore::trace::{LatencyAttribution, Layer, Payload, TraceSnapshot, Tracer};
     pub use rapilog_simcore::{Sim, SimCtx, SimDuration, SimTime};
-    pub use rapilog_simdisk::{specs, BlockDevice, Disk, SECTOR_SIZE};
+    pub use rapilog_simdisk::{specs, BlockDevice, BlockDeviceExt, Disk, SECTOR_SIZE};
     pub use rapilog_simpower::{supplies, PowerSupply, SupplySpec};
 }
