@@ -5,7 +5,9 @@
 //! ordering mode** — the classic `Strict` serial drain and the windowed
 //! `PartiallyConstrained` out-of-order drain — and demands a clean sweep
 //! from each: every acknowledged commit survives every crash point, with
-//! and without completion reordering. Then runs a negative control — the
+//! and without completion reordering. These trials checkpoint every
+//! 100 ms, so every crash lands after several checkpoints and the log
+//! discards that follow them. Then runs a negative control — the
 //! same machine with the drain's resilience disabled — and demands the
 //! opposite: the auditor **must** produce a replayable counterexample, or
 //! a clean main sweep proves nothing.
@@ -96,6 +98,7 @@ fn main() {
         cfg.seeds = (0..seeds).map(|i| 0x5EED + i * 101).collect();
         cfg.fault_times_ms = times.clone();
         cfg.ordering = mode;
+        cfg.checkpoint_interval = SimDuration::from_millis(100);
         let trials = cfg.seeds.len() * cfg.fault_times_ms.len() * cfg.kinds.len();
         println!(
             "Crash-point sweep [{mode:?}]: {} seeds x {} instants x {} kinds = {trials} trials on {threads} threads\n",

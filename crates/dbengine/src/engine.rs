@@ -828,30 +828,31 @@ impl Database {
     /// Commits: appends the commit record and — under a durable policy —
     /// waits for it to reach stable storage before acknowledging. Locks
     /// are held until then (strict 2PL).
+    ///
+    /// The transaction leaves the active table in the same step that
+    /// appends its commit record. A checkpoint record lists the active
+    /// table and always lands after that commit record, so listing the
+    /// transaction there would have recovery, which starts at the
+    /// checkpoint, roll back a transaction whose commit it never reads.
     pub async fn commit(&self, txn: TxnId) -> DbResult<()> {
         self.check_live()?;
         self.charge(self.inner.cfg.profile.cpu_commit).await;
         self.txn_chain(txn)?;
         let appended = self.inner.wal.append(&Record::Commit { txn });
-        let end = match appended {
-            Ok((_, end)) => end,
-            Err(e) => {
-                // The engine died under us: release locks and report.
-                let state = self.inner.st.borrow_mut().active.remove(&txn);
-                if let Some(state) = state {
-                    self.inner.locks.release_all(txn, state.locks.iter());
+        let state = self.inner.st.borrow_mut().active.remove(&txn);
+        let result = match appended {
+            Ok((_, end)) => {
+                self.inner.wal.kick();
+                if self.inner.wal.policy().wait_for_durable {
+                    self.inner.wal.wait_durable(end).await
+                } else {
+                    Ok(())
                 }
-                return Err(e);
             }
-        };
-        self.inner.wal.kick();
-        let result = if self.inner.wal.policy().wait_for_durable {
-            self.inner.wal.wait_durable(end).await
-        } else {
-            Ok(())
+            // The engine died under us: release locks and report.
+            Err(e) => Err(e),
         };
         // Win or lose, the transaction is finished locally: release locks.
-        let state = self.inner.st.borrow_mut().active.remove(&txn);
         if let Some(state) = state {
             self.inner.locks.release_all(txn, state.locks.iter());
         }
@@ -861,16 +862,37 @@ impl Database {
     /// Rolls back: restores before-images (writing CLRs), appends the
     /// abort record, releases locks. Rollback does not wait for
     /// durability — aborts are not acknowledged promises.
+    ///
+    /// The transaction stays in the active table, its last LSN following
+    /// each CLR, until the abort record is appended: a checkpoint taken
+    /// mid-rollback must list it, or recovery starting at that checkpoint
+    /// would never finish undoing it.
     pub async fn abort(&self, txn: TxnId) -> DbResult<()> {
         self.check_live()?;
-        let mut state = self
-            .inner
-            .st
-            .borrow_mut()
-            .active
-            .remove(&txn)
-            .ok_or(DbError::NoSuchTxn(txn))?;
-        while let Some(entry) = state.undo.pop() {
+        let undone = self.undo_all(txn).await;
+        let appended = undone.and_then(|()| self.inner.wal.append(&Record::Abort { txn }));
+        let state = self.inner.st.borrow_mut().active.remove(&txn);
+        appended?;
+        self.inner.wal.kick();
+        if let Some(state) = state {
+            self.inner.locks.release_all(txn, state.locks.iter());
+        }
+        Ok(())
+    }
+
+    /// Undoes `txn`'s changes newest first, writing a CLR for each.
+    async fn undo_all(&self, txn: TxnId) -> DbResult<()> {
+        loop {
+            let next = self
+                .inner
+                .st
+                .borrow_mut()
+                .active
+                .get_mut(&txn)
+                .ok_or(DbError::NoSuchTxn(txn))?
+                .undo
+                .pop();
+            let Some(entry) = next else { break };
             let meta = self.table_meta(entry.table)?;
             let frame = self.fetch_for_write(&meta, entry.addr.page).await?;
             let action = match &entry.action {
@@ -898,6 +920,9 @@ impl Database {
             BufferPool::mark_dirty(&frame);
             // Fix the derived state.
             let mut st = self.inner.st.borrow_mut();
+            if let Some(t) = st.active.get_mut(&txn) {
+                t.last_lsn = lsn;
+            }
             match &action {
                 ClrAction::Restore(_) => {
                     st.index.insert((entry.table, entry.key), entry.addr);
@@ -913,9 +938,6 @@ impl Database {
                 }
             }
         }
-        self.inner.wal.append(&Record::Abort { txn })?;
-        self.inner.wal.kick();
-        self.inner.locks.release_all(txn, state.locks.iter());
         Ok(())
     }
 

@@ -929,8 +929,9 @@ mod tests {
 mod checkpoint_spanning_tests {
     use super::*;
     use crate::engine::TableDef;
+    use crate::page::PAGE_SECTORS;
     use rapilog_simcore::Sim;
-    use rapilog_simdisk::{specs, Disk};
+    use rapilog_simdisk::{specs, Disk, Geometry, IoReq, IoResult, LocalBoxFuture, SectorBuf};
     use std::cell::Cell as StdCell;
     use std::rc::Rc;
 
@@ -999,6 +1000,187 @@ mod checkpoint_spanning_tests {
         });
         sim.run_until(rapilog_simcore::SimTime::from_secs(30));
         assert!(done.get());
+    }
+
+    /// A commit whose log force is still in flight when a fuzzy
+    /// checkpoint captures the active table. The checkpoint record lands
+    /// after the commit record and recovery starts at the checkpoint, so
+    /// listing the transaction as active there would roll back an acked
+    /// commit.
+    #[test]
+    fn commit_forcing_the_log_across_a_checkpoint_stays_committed() {
+        let mut sim = Sim::new(9);
+        let ctx = sim.ctx();
+        let done = Rc::new(StdCell::new(false));
+        let d2 = Rc::clone(&done);
+        let c2 = ctx.clone();
+        sim.spawn(async move {
+            let data: Rc<dyn BlockDevice> = Rc::new(Disk::new(&c2, specs::instant(64 << 20)));
+            // A rotating log: the commit's force takes milliseconds, the
+            // checkpoint's page writes on the instant data disk none.
+            let log: Rc<dyn BlockDevice> = Rc::new(Disk::new(&c2, specs::hdd_7200(64 << 20)));
+            let cfg = DbConfig::default();
+            let db = Database::create(
+                &c2,
+                cfg.clone(),
+                &table_t(64),
+                Rc::clone(&data),
+                Rc::clone(&log),
+                DomainId::ROOT,
+            )
+            .await
+            .unwrap();
+            let t = db.table("t").unwrap();
+            let setup = db.begin().await.unwrap();
+            db.insert(setup, t, 1, b"base").await.unwrap();
+            db.commit(setup).await.unwrap();
+            let txn = db.begin().await.unwrap();
+            db.update(txn, t, 1, b"committed").await.unwrap();
+            // The update is durable, so the commit's force carries the
+            // commit record alone and the checkpoint need not wait for it.
+            db.wal().kick();
+            db.wal().wait_durable(db.wal().end()).await.unwrap();
+            let acked = Rc::new(StdCell::new(false));
+            let commit = c2.spawn({
+                let (db, acked) = (db.clone(), Rc::clone(&acked));
+                async move {
+                    db.commit(txn).await.unwrap();
+                    acked.set(true);
+                }
+            });
+            c2.sleep(SimDuration::from_micros(100)).await;
+            assert!(
+                !acked.get(),
+                "the commit record is appended, its force in flight"
+            );
+            db.checkpoint().await.unwrap();
+            commit.await.unwrap();
+            db.stop();
+            let (db2, report) = Database::open(&c2, cfg, data, log, DomainId::ROOT)
+                .await
+                .expect("recovery");
+            assert_eq!(report.losers_undone, 0, "the acked commit is no loser");
+            assert_eq!(db2.get(t, 1).await.unwrap(), Some(b"committed".to_vec()));
+            db2.stop();
+            d2.set(true);
+        });
+        sim.run_until(rapilog_simcore::SimTime::from_secs(30));
+        assert!(done.get());
+    }
+
+    /// A rollback parked on a page read when a checkpoint is taken, then a
+    /// crash before its next CLR. Only the checkpoint's active table can
+    /// tell recovery to finish the rollback: the redo scan starts after
+    /// every record the transaction wrote.
+    #[test]
+    fn rollback_parked_across_a_checkpoint_is_finished_by_recovery() {
+        let mut sim = Sim::new(9);
+        let ctx = sim.ctx();
+        let done = Rc::new(StdCell::new(false));
+        let d2 = Rc::clone(&done);
+        let c2 = ctx.clone();
+        sim.spawn(async move {
+            let data_disk = Disk::new(&c2, specs::instant(64 << 20));
+            let gate = Rc::new(ReadGate {
+                inner: Rc::new(data_disk.clone()),
+                sector: StdCell::new(None),
+                parked: StdCell::new(false),
+                release: Event::new(),
+            });
+            let log: Rc<dyn BlockDevice> = Rc::new(Disk::new(&c2, specs::instant(64 << 20)));
+            // Two frames and one row per page: a third page evicts the
+            // least recently used, writing it back with whatever it holds.
+            let cfg = DbConfig {
+                pool_pages: 2,
+                ..DbConfig::default()
+            };
+            let db = Database::create(
+                &c2,
+                cfg.clone(),
+                &table_t(5000),
+                Rc::clone(&gate) as Rc<dyn BlockDevice>,
+                Rc::clone(&log),
+                DomainId::ROOT,
+            )
+            .await
+            .unwrap();
+            let t = db.table("t").unwrap();
+            let setup = db.begin().await.unwrap();
+            for k in 1..=3u64 {
+                db.insert(setup, t, k, format!("base-{k}").as_bytes())
+                    .await
+                    .unwrap();
+            }
+            db.commit(setup).await.unwrap();
+            db.checkpoint().await.unwrap();
+            let txn = db.begin().await.unwrap();
+            for k in 1..=3u64 {
+                // Row 3's page evicts row 1's, which reaches media updated.
+                db.update(txn, t, k, format!("undone-{k}").as_bytes())
+                    .await
+                    .unwrap();
+            }
+            let row1_sector = db.table_meta(t).unwrap().base_page * PAGE_SECTORS;
+            gate.sector.set(Some(row1_sector));
+            let _abort = c2.spawn({
+                let db = db.clone();
+                async move { db.abort(txn).await }
+            });
+            // Rollback restores rows 3 and 2, then parks reading row 1's
+            // page.
+            while !gate.parked.get() {
+                c2.sleep(SimDuration::from_micros(10)).await;
+            }
+            db.checkpoint().await.unwrap();
+            db.stop();
+            gate.release.set();
+            let (db2, report) = Database::open(&c2, cfg, Rc::new(data_disk), log, DomainId::ROOT)
+                .await
+                .expect("recovery");
+            assert_eq!(report.losers_undone, 1, "the parked rollback is finished");
+            for k in 1..=3u64 {
+                let want = format!("base-{k}").into_bytes();
+                assert_eq!(db2.get(t, k).await.unwrap(), Some(want), "row {k}");
+            }
+            db2.stop();
+            d2.set(true);
+        });
+        sim.run_until(rapilog_simcore::SimTime::from_secs(30));
+        assert!(done.get());
+    }
+
+    fn table_t(slot_size: u16) -> [TableDef; 1] {
+        [TableDef {
+            name: "t".to_string(),
+            slot_size,
+            max_rows: 100,
+        }]
+    }
+
+    /// Holds reads of one sector until released.
+    struct ReadGate {
+        inner: Rc<dyn BlockDevice>,
+        sector: StdCell<Option<u64>>,
+        parked: StdCell<bool>,
+        release: Event,
+    }
+
+    impl BlockDevice for ReadGate {
+        fn geometry(&self) -> Geometry {
+            self.inner.geometry()
+        }
+
+        fn io(&self, req: IoReq) -> LocalBoxFuture<'_, IoResult<Option<SectorBuf>>> {
+            Box::pin(async move {
+                if let IoReq::Read { sector, .. } = req {
+                    if Some(sector) == self.sector.get() {
+                        self.parked.set(true);
+                        self.release.wait().await;
+                    }
+                }
+                self.inner.io(req).await
+            })
+        }
     }
 
     /// Media corruption in the middle of the durable log truncates

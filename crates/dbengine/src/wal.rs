@@ -29,7 +29,7 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use rapilog_simcore::bytes::{SectorBuf, SectorPool};
-use rapilog_simcore::sync::Notify;
+use rapilog_simcore::sync::{Notify, Semaphore};
 use rapilog_simcore::trace::{Layer, Payload, Tracer};
 use rapilog_simcore::{JoinHandle, SimCtx, SimDuration};
 use rapilog_simdisk::{BlockDevice, IoReq, IoResult, SECTOR_SIZE};
@@ -492,6 +492,11 @@ struct WalInner {
     /// Recycled flush buffers: in steady state each group commit reuses an
     /// allocation instead of growing a fresh `Vec` per batch.
     pool: SectorPool,
+    /// Serialises horizon moves, so one move's discard never runs after
+    /// a later move has let the flusher reuse the sectors.
+    horizon_gate: Semaphore,
+    /// Where the flusher and horizon moves run: the DBMS's domain.
+    domain: rapilog_simcore::DomainId,
 }
 
 impl Wal {
@@ -529,6 +534,8 @@ impl Wal {
             durable_changed: Notify::new(),
             tracer: ctx.tracer(),
             pool: SectorPool::new(),
+            horizon_gate: Semaphore::new(1),
+            domain: spawn_domain,
         });
         // Preload the partial tail sector so rewrites keep earlier bytes.
         // At `new` time nothing is staged, so this is only needed when
@@ -569,6 +576,12 @@ impl Wal {
         self.inner.st.borrow().durable
     }
 
+    /// Oldest LSN that must remain readable: the truncation horizon the
+    /// last completed checkpoint set.
+    pub fn recovery_start(&self) -> Lsn {
+        self.inner.st.borrow().recovery_start
+    }
+
     /// Statistics snapshot.
     pub fn stats(&self) -> WalStats {
         self.inner.st.borrow().stats
@@ -579,11 +592,50 @@ impl Wal {
         self.inner.policy
     }
 
-    /// Raises the truncation horizon (checkpointer only).
+    /// Raises the truncation horizon to `lsn` (checkpointer only, once
+    /// the superblock naming it is durable), after discarding the whole
+    /// log sectors the move makes dead.
+    ///
+    /// The discarded stream sectors run from the old horizon's sector up
+    /// to `lsn`'s (exclusive, so a sector still holding live bytes stays),
+    /// mapped onto the circular region and split at its wrap. The flusher
+    /// cannot write them meanwhile: appends stay within one region of the
+    /// *old* horizon, which is raised only after the discard completes,
+    /// and a device keeps no ordering between a discard and a concurrent
+    /// write. The discard is advisory; a failed one is ignored (a dying
+    /// device fails the next log write anyway).
+    ///
+    /// Both steps run as a task in the WAL's domain, so the caller never
+    /// waits for them: over RapiLog a discard first waits for the drain
+    /// to land every older write.
     pub fn set_recovery_start(&self, lsn: Lsn) {
-        let mut st = self.inner.st.borrow_mut();
-        assert!(lsn >= st.recovery_start, "recovery horizon moved backwards");
-        st.recovery_start = lsn;
+        let wal = self.clone();
+        self.inner
+            .ctx
+            .spawn_in(self.inner.domain, async move { wal.retire(lsn).await });
+    }
+
+    async fn retire(&self, lsn: Lsn) {
+        let _serial = self.inner.horizon_gate.acquire(1).await;
+        let old = self.inner.st.borrow().recovery_start;
+        assert!(lsn >= old, "recovery horizon moved backwards");
+        let region = self.inner.region_sectors;
+        let (mut lo, hi) = (old.0 / SECTOR_SIZE as u64, lsn.0 / SECTOR_SIZE as u64);
+        debug_assert!(hi - lo < region, "horizon moved more than one circle");
+        while lo < hi {
+            let at = lo % region;
+            let sectors = (hi - lo).min(region - at);
+            let _ = self
+                .inner
+                .dev
+                .io(IoReq::Discard {
+                    sector: LOG_BASE_SECTOR + at,
+                    sectors,
+                })
+                .await;
+            lo += sectors;
+        }
+        self.inner.st.borrow_mut().recovery_start = lsn;
     }
 
     /// Marks the WAL stopped (device dead / shutdown); wakes all waiters
@@ -679,9 +731,14 @@ impl Wal {
         }
     }
 
-    /// Forces the log through `upto` (WAL-before-data rule).
-    pub async fn flush_to(&self, upto: Lsn) -> DbResult<()> {
-        self.wait_durable(upto).await
+    /// Forces the log through the record that starts at `lsn`, the LSN a
+    /// page carries after that record changed it (WAL-before-data rule).
+    /// Waiting only for the bytes *below* `lsn` is not enough: a flush
+    /// that ended exactly at `lsn` would let the page reach media ahead of
+    /// its own record. Durable ends fall on record boundaries, so any end
+    /// past `lsn` covers the whole record.
+    pub async fn flush_to(&self, lsn: Lsn) -> DbResult<()> {
+        self.wait_durable(lsn.advance(1)).await
     }
 
     /// Reads `len` bytes of the stream starting at `from`, straight from
@@ -1376,6 +1433,28 @@ mod tests {
         });
         sim.run();
         assert_eq!(*observed.borrow(), Some(Err(DbError::Stopped)));
+    }
+
+    /// A page stamped with a record's LSN must not be written until that
+    /// record is durable, even when the previous flush ended exactly where
+    /// the record starts.
+    #[test]
+    fn flush_to_covers_the_record_starting_there() {
+        let mut sim = Sim::new(1);
+        let (wal, _disk) = wal_on_instant_disk(&mut sim);
+        let done = Rc::new(StdCell::new(false));
+        let d2 = Rc::clone(&done);
+        sim.spawn(async move {
+            let (_, first_end) = wal.append(&upd(1, 1)).unwrap();
+            wal.wait_durable(first_end).await.unwrap();
+            let (lsn, end) = wal.append(&upd(1, 2)).unwrap();
+            assert_eq!(lsn, first_end, "the record starts at the durable end");
+            wal.flush_to(lsn).await.unwrap();
+            assert_eq!(wal.durable(), end, "the record itself is durable");
+            d2.set(true);
+        });
+        sim.run();
+        assert!(done.get());
     }
 
     #[test]

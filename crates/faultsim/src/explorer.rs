@@ -15,6 +15,7 @@
 //! planted bug proves nothing when it finds none.
 
 use rapilog::{DrainConfig, OrderingMode, RapiLogConfig, RetryPolicy};
+use rapilog_dbengine::DbConfig;
 use rapilog_simcore::stats::Histogram;
 use rapilog_simcore::SimDuration;
 use rapilog_simdisk::{specs, FaultProfile};
@@ -56,6 +57,10 @@ pub struct ExplorerConfig {
     /// whose shards the media audit checks for per-tenant durability and
     /// cross-tenant isolation.
     pub tenants: usize,
+    /// The database's automatic checkpoint period. The 5 s default never
+    /// fires inside a sub-second trial; a shorter one puts checkpoints,
+    /// and the log discards that follow them, before the crash.
+    pub checkpoint_interval: SimDuration,
 }
 
 impl ExplorerConfig {
@@ -74,6 +79,7 @@ impl ExplorerConfig {
             ordering: OrderingMode::Strict,
             supply: supplies::atx_psu(),
             tenants: 1,
+            checkpoint_interval: DbConfig::default().checkpoint_interval,
         }
     }
 
@@ -138,6 +144,7 @@ impl ExplorerConfig {
         let mut machine = MachineConfig::new(self.setup, specs::instant(256 << 20), log_spec);
         machine.supply = Some(self.supply.clone());
         machine.tenants = self.tenants;
+        machine.db.checkpoint_interval = self.checkpoint_interval;
         machine.rapilog = RapiLogConfig {
             drain: DrainConfig::new()
                 .retry(self.retry)

@@ -160,7 +160,8 @@ impl BlockDevice for VirtioBlk {
     fn io(&self, req: IoReq) -> LocalBoxFuture<'_, IoResult<Option<SectorBuf>>> {
         Box::pin(async move {
             // Malformed requests (misaligned, empty or past the end) are
-            // refused here and never cross into the driver cell.
+            // refused here and never cross into the driver cell; a valid
+            // discard crosses like any other request.
             {
                 let mut s = self.stats.borrow_mut();
                 match &req {
@@ -172,6 +173,9 @@ impl BlockDevice for VirtioBlk {
                         s.bytes_out += data.len() as u64;
                     }
                     IoReq::Flush => {}
+                    IoReq::Discard { sector, sectors } => {
+                        self.geometry.check_sectors(*sector, *sectors)?;
+                    }
                 }
                 s.requests += 1;
             }

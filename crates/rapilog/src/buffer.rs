@@ -392,6 +392,11 @@ impl DependableBuffer {
         }
     }
 
+    /// Sequence number of the newest extent admitted so far, if any.
+    pub(crate) fn last_admitted(&self) -> Option<u64> {
+        self.st.borrow().next_seq.checked_sub(1)
+    }
+
     /// Waits until the buffer is fully drained (nothing queued and nothing
     /// popped-but-uncommitted).
     pub async fn drained(&self) {

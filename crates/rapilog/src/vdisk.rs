@@ -17,6 +17,9 @@
 //! * When the buffer is full, `write` waits: RapiLog degrades to the
 //!   drain's (= the disk's sequential) throughput, never below the raw
 //!   synchronous path.
+//! * `discard` completes once every write admitted before it is on media,
+//!   then forgets the sectors on the physical disk: no acknowledged write
+//!   can land on them afterwards and resurrect them.
 
 use std::rc::Rc;
 
@@ -294,6 +297,27 @@ impl RapiLogDevice {
         self.ctx.sleep(self.cfg.ack_base).await;
         Ok(())
     }
+
+    /// The discard path. Extents admitted before the discard may still be
+    /// on their way to the sectors it names, and the drain would land them
+    /// after a discard on the disk; so the discard waits until every one
+    /// of them is on media, then forgets the sectors on the backing disk.
+    async fn discard_inner(&self, sector: u64, sectors: u64) -> IoResult<()> {
+        self.geometry.check_sectors(sector, sectors)?;
+        let req = IoReq::Discard { sector, sectors };
+        let Some(buffer) = &self.buffer else {
+            return self.backing.io(req).await.map(drop);
+        };
+        if buffer.is_frozen() {
+            return Err(IoError::PowerLoss);
+        }
+        if let Some(seq) = buffer.last_admitted() {
+            if !buffer.wait_completed(seq).await {
+                return Err(IoError::PowerLoss);
+            }
+        }
+        self.backing.io(req).await.map(drop)
+    }
 }
 
 impl BlockDevice for RapiLogDevice {
@@ -311,6 +335,9 @@ impl BlockDevice for RapiLogDevice {
                     self.write_inner(sector, data).await.map(|()| None)
                 }
                 IoReq::Flush => self.flush_inner().await.map(|()| None),
+                IoReq::Discard { sector, sectors } => {
+                    self.discard_inner(sector, sectors).await.map(|()| None)
+                }
             }
         })
     }

@@ -85,6 +85,12 @@ pub struct DiskStats {
     pub max_outstanding: u32,
     /// Total time the actuator was busy.
     pub busy: SimDuration,
+    /// Discard requests observed.
+    pub discards: u64,
+    /// Bytes of media currently holding written data: the store's
+    /// populated sectors times the sector size. Exact and deterministic,
+    /// unlike the host memory the store occupies, which it bounds.
+    pub populated_bytes: u64,
 }
 
 struct CacheEntry {
@@ -361,12 +367,15 @@ impl Disk {
         &self.inner.spec
     }
 
-    /// Snapshot of cumulative statistics. The queue gauges (`outstanding`,
-    /// `max_outstanding`) are folded in from the live submission queue.
+    /// Snapshot of cumulative statistics. The gauges (`outstanding`,
+    /// `max_outstanding`, `populated_bytes`) are folded in from the live
+    /// submission queue and media store.
     pub fn stats(&self) -> DiskStats {
         let mut stats = *self.inner.stats.borrow();
         stats.outstanding = self.inner.queue.outstanding();
         stats.max_outstanding = self.inner.queue.max_outstanding();
+        stats.populated_bytes =
+            (self.inner.st.borrow().store.populated_sectors() * SECTOR_SIZE) as u64;
         stats
     }
 
@@ -606,6 +615,30 @@ impl Disk {
         stats.media_ops += 1;
         stats.sectors_read += count;
         stats.busy += dur;
+        Ok(())
+    }
+
+    /// Discards `sectors` sectors from `sector`: the media store and the
+    /// volatile cache forget them, so they read as zeros. Costs no media
+    /// time (the drive only updates its mapping) and keeps no ordering
+    /// with requests in flight: a write already transferring still lands.
+    fn discard(&self, sector: u64, sectors: u64) -> IoResult<()> {
+        self.inner.geometry.check_sectors(sector, sectors)?;
+        if self.inner.offline.get() {
+            return Err(self.inner.reject_offline());
+        }
+        self.inner.stats.borrow_mut().discards += 1;
+        let uncached = {
+            let mut st = self.inner.st.borrow_mut();
+            st.store.discard(sector, sectors);
+            let mut dropped = st.cache.split_off(&sector);
+            st.cache.append(&mut dropped.split_off(&(sector + sectors)));
+            !dropped.is_empty()
+        };
+        if uncached {
+            // Flush and cache-space waiters re-check their condition.
+            self.inner.clean.notify_all();
+        }
         Ok(())
     }
 
@@ -1056,6 +1089,7 @@ impl BlockDevice for Disk {
                     .await
                     .map(|()| None),
                 IoReq::Flush => self.flush().await.map(|()| None),
+                IoReq::Discard { sector, sectors } => self.discard(sector, sectors).map(|()| None),
             }
         })
     }

@@ -146,13 +146,23 @@ impl Geometry {
             return Err(IoError::Misaligned { len });
         }
         let count = (len / self.sector_size) as u64;
+        self.check_sectors(sector, count).map(|()| count)
+    }
+
+    /// Validates a run of `count` sectors at `sector`, with checked
+    /// arithmetic: [`IoError::Misaligned`] (with `len: 0`) for an empty
+    /// run, [`IoError::OutOfRange`] if it runs past the end.
+    pub fn check_sectors(&self, sector: u64, count: u64) -> IoResult<()> {
+        if count == 0 {
+            return Err(IoError::Misaligned { len: 0 });
+        }
         if sector
             .checked_add(count)
             .is_none_or(|end| end > self.sectors)
         {
             return Err(IoError::OutOfRange { sector, count });
         }
-        Ok(count)
+        Ok(())
     }
 
     /// Validates a read of `sectors` sectors at `sector` and returns its
@@ -197,6 +207,17 @@ pub enum IoReq {
     /// Barrier: completes once every previously acknowledged write is on
     /// stable media.
     Flush,
+    /// Advisory: the caller no longer needs `sectors` sectors from
+    /// `sector` (TRIM). Afterwards they read as zeros until rewritten. A
+    /// device may free their storage; it promises no ordering against
+    /// requests still in flight, so a caller discards only what it will
+    /// not write concurrently.
+    Discard {
+        /// First sector of the run.
+        sector: u64,
+        /// Number of sectors to discard.
+        sectors: u64,
+    },
 }
 
 /// Opaque handle identifying a request submitted to [`Disk::submit`] or
@@ -221,7 +242,7 @@ pub trait BlockDevice {
     fn geometry(&self) -> Geometry;
 
     /// Runs `req` to completion. A completed [`IoReq::Read`] yields
-    /// `Some(data)`; writes and flushes yield `None`.
+    /// `Some(data)`; writes, flushes and discards yield `None`.
     ///
     /// Every device validates a request before acting on it: a zero-length
     /// or misaligned access fails with [`IoError::Misaligned`], an access

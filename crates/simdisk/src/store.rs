@@ -8,10 +8,11 @@
 //! a chunk's first write. A chunk is one zero-initialised allocation —
 //! the system allocator hands large zeroed blocks back as untouched pages,
 //! so resident memory tracks the pages actually written — plus a bitmap of
-//! the sectors ever written, which is what [`SectorStore::populated_sectors`]
-//! counts. A log device keeps every sector the engine ever wrote, so the
-//! per-sector cost matters: a chunk carries no per-sector allocation or map
-//! entry.
+//! the sectors written, which is what [`SectorStore::populated_sectors`]
+//! counts. [`SectorStore::discard`] clears bits and frees a chunk once none
+//! is left, which is how a log device's memory follows the live log rather
+//! than every byte ever logged. A chunk carries no per-sector allocation or
+//! map entry.
 
 use rapilog_simcore::bytes::SectorBuf;
 use rapilog_simcore::hash::FastMap;
@@ -34,6 +35,18 @@ impl Chunk {
             bytes: vec![0u8; CHUNK_BYTES].into_boxed_slice(),
             written: [0; CHUNK_SECTORS as usize / 64],
         }
+    }
+
+    /// Marks `n` sectors from `at` unwritten; returns how many were
+    /// written.
+    fn clear_written(&mut self, at: usize, n: usize) -> usize {
+        let mut cleared = 0;
+        for s in at..at + n {
+            let (word, bit) = (s / 64, 1u64 << (s % 64));
+            cleared += usize::from(self.written[word] & bit != 0);
+            self.written[word] &= !bit;
+        }
+        cleared
     }
 
     /// Marks `n` sectors from `at` written; returns how many were not yet.
@@ -176,7 +189,24 @@ impl SectorStore {
         }
     }
 
-    /// Number of sectors that have ever been written.
+    /// Forgets `count` sectors from `first_sector`: they read as zeros
+    /// again. A chunk left with no written sector is freed, so discarding a
+    /// run piecemeal frees its chunks as surely as discarding it whole.
+    pub fn discard(&mut self, first_sector: u64, count: u64) {
+        for (index, at, n, _) in pieces(first_sector, count) {
+            let Some(chunk) = self.chunks.get_mut(&index) else {
+                continue;
+            };
+            self.populated -= chunk.clear_written(at, n);
+            if chunk.written.iter().all(|&w| w == 0) {
+                self.chunks.remove(&index);
+            } else {
+                chunk.bytes[at * SECTOR_SIZE..(at + n) * SECTOR_SIZE].fill(0);
+            }
+        }
+    }
+
+    /// Number of sectors written and not discarded since.
     pub fn populated_sectors(&self) -> usize {
         self.populated
     }
@@ -277,8 +307,8 @@ mod tests {
     }
 
     /// Differential test against the obvious model, a map from sector to
-    /// contents: random single-sector writes, runs, vectored runs and
-    /// corruptions — many straddling chunk boundaries or ending on a
+    /// contents: random single-sector writes, runs, vectored runs, discards
+    /// and corruptions — many straddling chunk boundaries or ending on a
     /// device's last sector — must read back identically and populate the
     /// same sectors.
     #[test]
@@ -316,7 +346,7 @@ mod tests {
                 }
             };
             for _ in 0..200 {
-                match rng.gen_range(0..4u32) {
+                match rng.gen_range(0..5u32) {
                     0 => {
                         let at = start(&mut rng, 1);
                         let data = fill(&mut rng, 1);
@@ -355,6 +385,12 @@ mod tests {
                             }
                         }
                     }
+                    3 => {
+                        let n = rng.gen_range(1..2 * CHUNK_SECTORS + 2);
+                        let at = start(&mut rng, n);
+                        store.discard(at, n);
+                        model.retain(|&s, _| !(at..at + n).contains(&s));
+                    }
                     _ => {
                         let at = start(&mut rng, 1);
                         let salt = rng.next_u64();
@@ -381,6 +417,41 @@ mod tests {
                 assert!(got == *want, "seed {seed}: sector {at} differs");
             }
         }
+    }
+
+    #[test]
+    fn discard_zeroes_and_frees_chunks_even_piecemeal() {
+        let mut store = SectorStore::new();
+        let n = 3 * CHUNK_SECTORS;
+        store.write_run(0, &vec![7u8; n as usize * SECTOR_SIZE]);
+        assert_eq!(store.chunks.len(), 3);
+        // Whole first chunk at once; the second in two halves; a sliver
+        // of the third.
+        store.discard(0, CHUNK_SECTORS);
+        store.discard(CHUNK_SECTORS, CHUNK_SECTORS / 2);
+        assert_eq!(store.chunks.len(), 2, "a half-discarded chunk stays");
+        store.discard(CHUNK_SECTORS + CHUNK_SECTORS / 2, CHUNK_SECTORS / 2 + 1);
+        assert_eq!(store.chunks.len(), 1, "the emptied chunk is freed");
+        assert_eq!(store.populated_sectors(), CHUNK_SECTORS as usize - 1);
+        let mut buf = vec![0xFFu8; 2 * SECTOR_SIZE];
+        store.read_run(2 * CHUNK_SECTORS - 1, &mut buf);
+        assert!(
+            buf[..SECTOR_SIZE].iter().all(|&b| b == 0),
+            "discarded reads zero"
+        );
+        assert!(
+            buf[SECTOR_SIZE..].iter().all(|&b| b == 0),
+            "discarded reads zero"
+        );
+        store.read_run(2 * CHUNK_SECTORS + 1, &mut buf[..SECTOR_SIZE]);
+        assert_eq!(
+            &buf[..SECTOR_SIZE],
+            &[7u8; SECTOR_SIZE][..],
+            "neighbours kept"
+        );
+        // Discarding what was never written is a no-op.
+        store.discard(10 * CHUNK_SECTORS, 5);
+        assert_eq!(store.populated_sectors(), CHUNK_SECTORS as usize - 1);
     }
 
     #[test]

@@ -7,9 +7,11 @@
 //!   Order-Status / Delivery / Stock-Level);
 //! * NURand non-uniform key selection (hot customers and items);
 //! * the 1% of New-Orders that roll back (exercising undo under load);
-//! * hot-row contention: every New-Order updates its district row, so lock
-//!   hold time — which under synchronous logging includes the log force —
-//!   bounds throughput exactly as it does on real engines.
+//! * hot-row contention: every New-Order updates its district row and
+//!   every Payment its district and warehouse rows, so lock hold time —
+//!   which under synchronous logging includes the log force — bounds
+//!   throughput exactly as it does on real engines. Payment locks the
+//!   warehouse row last, so that lock is held across the commit alone.
 //!
 //! Simplifications (documented in DESIGN.md): customer selection by id
 //! rather than by last name, no initial order backlog, and scaled-down
@@ -869,19 +871,9 @@ async fn payment(
     history_key: Key,
 ) -> DbResult<()> {
     let txn = db.begin().await?;
-    // Lock order: warehouse → district → customer.
-    let wrow = tx!(db, txn, db.get_for_update(txn, t.warehouse, w).await);
-    let mut wrow = tx!(
-        db,
-        txn,
-        WarehouseRow::decode(&tx!(db, txn, need(wrow, "warehouse")))
-    );
-    wrow.ytd_cents += amount_cents as u64;
-    tx!(
-        db,
-        txn,
-        db.update(txn, t.warehouse, w, &wrow.encode()).await
-    );
+    // Lock order: district → customer → warehouse. District before
+    // customer matches New-Order and Delivery, and only Payment locks the
+    // warehouse row, so the mix cannot deadlock.
     let dk = dist_key(w, d);
     let drow = tx!(db, txn, db.get_for_update(txn, t.district, dk).await);
     let mut drow = tx!(
@@ -914,6 +906,20 @@ async fn payment(
     put_u64(&mut hist, ck);
     put_u32(&mut hist, amount_cents);
     tx!(db, txn, db.insert(txn, t.history, history_key, &hist).await);
+    // The warehouse row last: every Payment writes it, so its X-lock is
+    // held across the commit alone.
+    let wrow = tx!(db, txn, db.get_for_update(txn, t.warehouse, w).await);
+    let mut wrow = tx!(
+        db,
+        txn,
+        WarehouseRow::decode(&tx!(db, txn, need(wrow, "warehouse")))
+    );
+    wrow.ytd_cents += amount_cents as u64;
+    tx!(
+        db,
+        txn,
+        db.update(txn, t.warehouse, w, &wrow.encode()).await
+    );
     db.commit(txn).await
 }
 
